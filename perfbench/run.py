@@ -10,8 +10,9 @@ output, and prints as its last line one JSON object:
     {"correct": ..., "attempted": ..., "failed": ..., "metrics": {...}}
 
 --trace 0 runs the untraced program (perfbench_e2e) for S seconds and reports
-the end-to-end metrics. --trace 1 runs the traced program (perfbench_traced)
-for about S/2 seconds, then the untraced program on the same replications,
+the end-to-end metrics, host times in reference-host seconds. --trace 1 runs
+the traced program (perfbench_traced) for about S/2 seconds, then the
+untraced program on the same replications,
 requires their model fingerprints to be bitwise equal, and reports the
 per-layer metrics plus the untraced event rate and the tracing overhead.
 See perfbench/README.md.

@@ -1,5 +1,6 @@
 // Tests of the benchmark's helpers: percentile selection, VmHWM parsing,
-// the output check, and the slice probe's passivity.
+// the host reference unit, the output check, and the slice probe's
+// passivity.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,6 +10,7 @@
 
 #include "dsrt/system/simulation.hpp"
 #include "harness.hpp"
+#include "reference.hpp"
 #include "workloads.hpp"
 
 namespace {
@@ -57,6 +59,17 @@ TEST(VmHwm, RejectsMissingOrMalformedLines) {
 }
 
 TEST(VmHwm, ReadsThisProcess) { EXPECT_GT(perfbench::read_vmhwm_kb(), 0u); }
+
+TEST(HostReference, DoesTheSameWorkEveryTime) {
+  perfbench::HostReference a, b;
+  EXPECT_GT(a.run_s(), 0.0);
+  const std::uint64_t once = a.checksum();
+  EXPECT_GT(once, 0u);
+  a.run_s();
+  EXPECT_EQ(a.checksum(), 2 * once);
+  b.run_s();
+  EXPECT_EQ(b.checksum(), once);
+}
 
 dsrt::system::Config small_fig2() {
   dsrt::system::Config cfg = perfbench::make_workload("fig2_eqf", 3).config;

@@ -40,7 +40,7 @@ inline Workload make_workload(std::string_view name, std::uint64_t seed) {
     // in its sorted tier; placement and the load board are not wired.
     cfg = dsrt::system::baseline_ssp();
     cfg.horizon = 1e6;
-    w.slice = 5000;
+    w.slice = 10000;
     w.util_tolerance = 0.01;
     w.observed = name == "fig2_observed";
     cfg.probes = w.observed;
@@ -53,7 +53,7 @@ inline Workload make_workload(std::string_view name, std::uint64_t seed) {
     cfg.placement = dsrt::core::PlacementSpec::parse("jsq-pex");
     cfg.load_model = dsrt::core::LoadModelSpec::parse("exact");
     cfg.horizon = 400;
-    w.slice = 1;
+    w.slice = 2;
     w.util_tolerance = 0.02;
   } else if (name == "scale_pod_k4096") {
     // Serial baseline at k=4096 with power-of-two-choices placement: the
@@ -63,7 +63,7 @@ inline Workload make_workload(std::string_view name, std::uint64_t seed) {
     cfg.placement = dsrt::core::PlacementSpec::parse("pod:2");
     cfg.load_model = dsrt::core::LoadModelSpec::parse("exact");
     cfg.horizon = 120;
-    w.slice = 0.25;
+    w.slice = 0.5;
     w.util_tolerance = 0.03;
   } else {
     throw std::invalid_argument(
