@@ -15,24 +15,29 @@
 //     while staying close on MD.
 //   * memory — resident set per cell, to catch accidental O(k^2) tables.
 //
-// Per-point cost stays roughly flat: scaled_node_config shrinks the
-// horizon ∝ 1/k (constant event budget), so the full grid is CI-sized.
+// Per-point cost stays roughly flat: past k=24 the horizon shrinks ∝ 1/k
+// (constant event budget), so the full grid is CI-sized.
 //
 // Artifact: BENCH_scale.json with one events/second entry per
 // (k, placement, queue) cell plus rss_kb/* gauges (items = resident KB).
 // The deterministic slice of this sweep (k x placement, adaptive queue)
 // is also registered as the `abl_scale_quick` manifest in dsrt::xp, where
 // sweep_cli checks it against committed expectations.
+//
+//   ./bench_abl_scale [--horizon=1e6 | --quick] [--reps=2] [--kmax=4096]
+//                     [--out=DIR]
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <iostream>
 #include <limits>
 #include <string>
 #include <vector>
 
-#include "bench_common.hpp"
 #include "dsrt/engine/emit.hpp"
-#include "dsrt/system/experiment.hpp"
+#include "dsrt/engine/runner.hpp"
+#include "dsrt/system/baseline.hpp"
+#include "dsrt/system/cli.hpp"
 
 namespace {
 
@@ -62,15 +67,28 @@ struct PlacementCase {
 
 int main(int argc, char** argv) {
   const dsrt::util::Flags flags(argc, argv);
-  const bench::RunControl rc = bench::parse_run_control(flags);
-  const auto kmax =
-      static_cast<std::size_t>(flags.get("kmax", 4096L));
+  double horizon = 0;
+  dsrt::system::RunOptions opts;
+  std::size_t kmax = 0;
+  try {
+    horizon = flags.get("quick", false) ? 1e5 : flags.get("horizon", 1e6);
+    opts = dsrt::system::run_options_from_flags(flags);
+    kmax = static_cast<std::size_t>(flags.get("kmax", 4096L));
+  } catch (const std::exception& error) {
+    std::fprintf(stderr, "bad flags: %s\n", error.what());
+    return 1;
+  }
+  // Cells are timed one replication batch at a time on one worker.
+  dsrt::engine::RunnerOptions serial;
+  serial.jobs = 1;
+  const dsrt::engine::Runner runner(serial);
 
-  bench::banner("abl_scale",
-                "extension: events/s + resident memory vs k (64..4096)",
-                "serial baseline, constant per-node load; placement in "
-                "{static, jsq-pex, pod:2}, event queue adaptive vs forced "
-                "heap at the big configs");
+  std::printf("== abl_scale ==\n"
+              "reproduces: extension: events/s + resident memory vs k "
+              "(64..4096)\n"
+              "serial baseline, constant per-node load; placement in "
+              "{static, jsq-pex, pod:2}, event queue adaptive vs forced "
+              "heap at the big configs\n\n");
 
   std::vector<std::size_t> ks;
   for (std::size_t k : {64u, 256u, 1024u, 4096u})
@@ -88,13 +106,16 @@ int main(int argc, char** argv) {
       std::vector<const char*> modes = {"adaptive"};
       if (k >= 1024) modes.push_back("heap");
       for (const char* mode : modes) {
-        dsrt::system::Config cfg = bench::scaled_node_config(k, rc);
+        dsrt::system::Config cfg = dsrt::system::baseline_ssp();
+        cfg.nodes = k;
+        cfg.horizon = k > 24 ? horizon * 24.0 / static_cast<double>(k)
+                             : horizon;
         cfg.placement = dsrt::core::PlacementSpec::parse(pc.placement);
         cfg.load_model = dsrt::core::LoadModelSpec::parse(pc.load_model);
         cfg.event_queue = dsrt::sim::parse_queue_mode(mode);
 
         const auto start = std::chrono::steady_clock::now();
-        const auto result = dsrt::system::run_replications(cfg, rc.reps);
+        const auto result = runner.run_replications(cfg, opts.reps);
         const double wall =
             std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                           start)
@@ -113,15 +134,18 @@ int main(int argc, char** argv) {
                        dsrt::stats::Table::cell(
                            wall > 0 ? events / wall / 1e6 : 0.0, 2),
                        dsrt::stats::Table::cell(rss / 1024.0, 1),
-                       bench::pct(result.md_local),
-                       bench::pct(result.md_global)});
+                       dsrt::stats::Table::percent(result.md_local.mean, 1),
+                       dsrt::stats::Table::percent(result.md_global.mean,
+                                                   1)});
       }
     }
   }
-  bench::emit(table, rc);
+  table.print(std::cout);
+  std::printf("\n");
   try {
     const std::string path =
-        dsrt::engine::write_microbench_artifact("scale", entries, rc.out_dir);
+        dsrt::engine::write_microbench_artifact("scale", entries,
+                                                opts.out_dir);
     std::printf("wrote %s\n", path.c_str());
   } catch (const std::exception& error) {
     std::fprintf(stderr, "abl_scale: emit failed: %s\n", error.what());

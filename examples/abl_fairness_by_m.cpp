@@ -6,23 +6,28 @@
 // *conditioned on m*. Under UD (and to a lesser degree GF) wide tasks fail
 // far more often — any straggler dooms the join — whereas DIV-x promotes
 // proportionally to n and flattens the curve.
+//
+//   ./example_abl_fairness_by_m [--horizon=400000]
 #include <cstdio>
+#include <iostream>
+#include <map>
 
-#include "bench_common.hpp"
 #include "dsrt/core/parallel_strategies.hpp"
+#include "dsrt/stats/report.hpp"
 #include "dsrt/system/baseline.hpp"
 #include "dsrt/system/simulation.hpp"
 #include "dsrt/trace/fairness_profiler.hpp"
+#include "dsrt/util/flags.hpp"
 
 int main(int argc, char** argv) {
   const dsrt::util::Flags flags(argc, argv);
-  bench::RunControl rc = bench::parse_run_control(flags);
-  if (!flags.has("horizon") && !flags.has("quick")) rc.horizon = 4e5;
+  const double horizon = flags.get("horizon", 4e5);
 
-  bench::banner("abl_fairness_by_m",
-                "Section 7: DIV-x evens up miss rates across task widths",
-                "parallel tasks with m ~ U[1,6]; MD_global conditioned on "
-                "m; load 0.5");
+  std::printf("== abl_fairness_by_m ==\n"
+              "reproduces: Section 7: DIV-x evens up miss rates across task "
+              "widths\n"
+              "parallel tasks with m ~ U[1,6]; MD_global conditioned on m; "
+              "load 0.5\n\n");
 
   std::vector<std::string> headers = {"m"};
   const std::vector<const char*> strategies = {"UD", "DIV1", "DIV2", "GF",
@@ -33,7 +38,7 @@ int main(int argc, char** argv) {
   std::map<std::size_t, std::vector<double>> rows;
   for (const char* name : strategies) {
     dsrt::system::Config cfg = dsrt::system::baseline_psp();
-    bench::apply(rc, cfg);
+    cfg.horizon = horizon;
     cfg.subtask_count = dsrt::sim::uniform(1.0, 6.0);
     cfg.psp = dsrt::core::parallel_strategy_by_name(name);
     dsrt::trace::FairnessProfiler profiler;
@@ -49,7 +54,8 @@ int main(int argc, char** argv) {
     for (double v : values) row.push_back(dsrt::stats::Table::percent(v, 1));
     if (row.size() == headers.size()) table.add_row(std::move(row));
   }
-  bench::emit(table, rc);
+  table.print(std::cout);
+  std::printf("\n");
   std::printf("expect: UD's column rises steeply with m; DIV-x columns stay "
               "much flatter.\n");
   return 0;

@@ -3,30 +3,33 @@
 // Miss ratios average away the damage; the tail shows it. Pang et al. [11]
 // (the paper's Section 2) observed that "bigger" work units suffer under
 // earliest-deadline scheduling because their deadlines sit further in the
-// future — this bench shows the same effect end-to-end: under UD the global
-// p99 response balloons relative to EQF while medians barely move.
+// future — this program shows the same effect end-to-end: under UD the
+// global p99 response balloons relative to EQF while medians barely move.
+//
+//   ./example_analysis_response_tails [--horizon=200000]
 #include <cstdio>
+#include <iostream>
 
-#include "bench_common.hpp"
 #include "dsrt/core/serial_strategies.hpp"
+#include "dsrt/stats/report.hpp"
 #include "dsrt/system/baseline.hpp"
 #include "dsrt/system/simulation.hpp"
+#include "dsrt/util/flags.hpp"
 
 int main(int argc, char** argv) {
   const dsrt::util::Flags flags(argc, argv);
-  bench::RunControl rc = bench::parse_run_control(flags);
-  if (!flags.has("horizon") && !flags.has("quick")) rc.horizon = 2e5;
+  const double horizon = flags.get("horizon", 2e5);
 
-  bench::banner("analysis_response_tails",
-                "response-time quantiles per class (supports Fig. 2 and the "
-                "Section 2 discussion of [11])",
-                "baseline at load 0.5");
+  std::printf("== analysis_response_tails ==\n"
+              "reproduces: response-time quantiles per class (supports "
+              "Fig. 2 and the Section 2 discussion of [11])\n"
+              "baseline at load 0.5\n\n");
 
   dsrt::stats::Table table({"ssp", "class", "p50", "p90", "p99",
                             "frac > 2x mean ex(%)"});
   for (const char* name : {"UD", "ED", "EQF"}) {
     dsrt::system::Config cfg = dsrt::system::baseline_ssp();
-    bench::apply(rc, cfg);
+    cfg.horizon = horizon;
     cfg.ssp = dsrt::core::serial_strategy_by_name(name);
     const auto m = dsrt::system::simulate(cfg);
     const auto row = [&](const char* cls,
@@ -43,6 +46,7 @@ int main(int argc, char** argv) {
     row("local", m.local, 1.0);
     row("global", m.global, 4.0);
   }
-  bench::emit(table, rc);
+  table.print(std::cout);
+  std::printf("\n");
   return 0;
 }

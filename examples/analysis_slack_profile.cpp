@@ -5,30 +5,33 @@
 // end-to-end deadline, so early stages have the lowest EDF priority and
 // burn the task's slack in queues, leaving nothing for final stages. Under
 // EQS/EQF each stage gets only its fair share of the window, so waits even
-// out. This bench prints mean wait, allotted window, and virtual-deadline
-// overruns per stage index.
+// out. This program prints mean wait, allotted window, and
+// virtual-deadline overruns per stage index.
+//
+//   ./example_analysis_slack_profile [--horizon=200000]
 #include <cstdio>
+#include <iostream>
 
-#include "bench_common.hpp"
 #include "dsrt/core/serial_strategies.hpp"
+#include "dsrt/stats/report.hpp"
 #include "dsrt/system/baseline.hpp"
 #include "dsrt/system/simulation.hpp"
 #include "dsrt/trace/slack_profiler.hpp"
+#include "dsrt/util/flags.hpp"
 
 int main(int argc, char** argv) {
   const dsrt::util::Flags flags(argc, argv);
-  bench::RunControl rc = bench::parse_run_control(flags);
-  if (!flags.has("horizon") && !flags.has("quick")) rc.horizon = 2e5;
+  const double horizon = flags.get("horizon", 2e5);
 
-  bench::banner("analysis_slack_profile",
-                "Section 4.2 mechanism: per-stage slack consumption under "
-                "UD vs ED vs EQF",
-                "baseline at load 0.5; m=4 serial stages; 'window' is the "
-                "virtual deadline minus submission time");
+  std::printf("== analysis_slack_profile ==\n"
+              "reproduces: Section 4.2 mechanism: per-stage slack "
+              "consumption under UD vs ED vs EQF\n"
+              "baseline at load 0.5; m=4 serial stages; 'window' is the "
+              "virtual deadline minus submission time\n\n");
 
   for (const char* name : {"UD", "ED", "EQF"}) {
     dsrt::system::Config cfg = dsrt::system::baseline_ssp();
-    bench::apply(rc, cfg);
+    cfg.horizon = horizon;
     cfg.ssp = dsrt::core::serial_strategy_by_name(name);
     dsrt::trace::SlackProfiler profiler;
     dsrt::system::SimulationRun run(cfg, 0);
@@ -48,7 +51,8 @@ int main(int argc, char** argv) {
                      dsrt::stats::Table::percent(st.virtual_miss.value(), 1)});
     }
     std::printf("ssp = %s\n", name);
-    bench::emit(table, rc);
+    table.print(std::cout);
+    std::printf("\n");
   }
   std::printf(
       "expect: UD waits concentrated in early stages (big windows, low\n"

@@ -1,16 +1,17 @@
 // T1 — Table 1: the baseline parameter setting, printed from the live
 // Config object (not hard-coded strings), together with the rates the
 // load equations of Section 4.1 derive from it.
+//
+//   ./example_tab1_baseline_settings
 #include <cstdio>
+#include <iostream>
 
-#include "bench_common.hpp"
+#include "dsrt/stats/report.hpp"
 #include "dsrt/system/baseline.hpp"
 
-int main(int argc, char** argv) {
-  const dsrt::util::Flags flags(argc, argv);
-  const bench::RunControl rc = bench::parse_run_control(flags);
-
-  bench::banner("tab1_baseline_settings", "Table 1: baseline setting", "");
+int main() {
+  std::printf("== tab1_baseline_settings ==\n"
+              "reproduces: Table 1: baseline setting\n\n");
 
   const dsrt::system::Config cfg = dsrt::system::baseline_ssp();
   dsrt::stats::Table table({"parameter", "value"});
@@ -28,7 +29,8 @@ int main(int argc, char** argv) {
   table.add_row({"[Smin, Smax]", cfg.local_slack->describe()});
   table.add_row({"rel_flex", dsrt::stats::Table::cell(cfg.rel_flex, 1)});
   table.add_row({"pex(X)/ex(X)", std::string(cfg.pex_error->name())});
-  bench::emit(table, rc);
+  table.print(std::cout);
+  std::printf("\n");
 
   dsrt::stats::Table derived({"derived quantity", "value"});
   derived.add_row({"lambda_local (total, all nodes)",
@@ -40,6 +42,7 @@ int main(int argc, char** argv) {
   derived.add_row({"global slack distribution",
                    cfg.global_slack()->describe()});
   std::printf("derived from the Section 4.1 load equations:\n");
-  bench::emit(derived, rc);
+  derived.print(std::cout);
+  std::printf("\n");
   return 0;
 }

@@ -21,9 +21,11 @@
 ///              system, the observers beside trace)
 ///   engine   - experiment orchestration: thread-pool replication/sweep
 ///              runner, declarative parameter grids, seed derivation,
-///              structured result emitters (CSV / JSON / BENCH artifacts)
+///              DIV-x tuning, structured result emitters (CSV / JSON /
+///              BENCH artifacts, pivot tables)
 ///   xp       - sweep harness: named manifest registry over the engine's
-///              grids, sharded/resumable runner with JSONL artifacts,
+///              grids (every figure and ablation, with its table views),
+///              sharded/resumable runner with JSONL artifacts,
 ///              tolerance-band checker against committed expectations,
 ///              bitwise single-point reproduce (sweep_cli front-end)
 
@@ -41,6 +43,7 @@
 #include "dsrt/engine/seed_sequence.hpp"
 #include "dsrt/engine/sweep.hpp"
 #include "dsrt/engine/thread_pool.hpp"
+#include "dsrt/engine/tuning.hpp"
 #include "dsrt/fault/injector.hpp"
 #include "dsrt/fault/spec.hpp"
 #include "dsrt/obs/attribution.hpp"
@@ -71,7 +74,6 @@
 #include "dsrt/system/observer.hpp"
 #include "dsrt/system/process_manager.hpp"
 #include "dsrt/system/simulation.hpp"
-#include "dsrt/system/tuning.hpp"
 #include "dsrt/trace/recorder.hpp"
 #include "dsrt/trace/slack_profiler.hpp"
 #include "dsrt/util/flags.hpp"

@@ -22,12 +22,15 @@ stats::Table sweep_table(const SweepResult& sweep);
 /// CSV with numeric columns (means and half-widths separated) for plotting.
 void write_sweep_csv(const SweepResult& sweep, std::ostream& os);
 
-/// Pivot of a two-axis cartesian sweep into the layout the paper figures
-/// use: one row per first-axis value, one column per second-axis value,
-/// cell text produced by `cell` from that point's result. Throws
-/// std::invalid_argument unless the sweep has exactly two axes.
+/// Pivot of a cartesian sweep into the layout the paper figures use: one
+/// row per combination of the `rows` axes (first listed slowest, each in
+/// grid order), one column per value of the `column` axis, cell text
+/// produced by `cell` from that point's result. Throws
+/// std::invalid_argument unless rows + column name every sweep axis
+/// exactly once and the sweep covers the full cartesian grid.
 stats::Table pivot_table(
-    const SweepResult& sweep,
+    const SweepResult& sweep, const std::vector<std::string>& rows,
+    const std::string& column,
     const std::function<std::string(const PointResult&)>& cell);
 
 /// Full-fidelity JSON document: run control, axes, and per-point
@@ -78,8 +81,8 @@ void ensure_writable_dir(const std::string& out_dir);
 
 /// Writes the long-format `<name>.csv` / `<name>.json` files under
 /// `out_dir` as requested and returns the paths written (possibly empty).
-/// Throws std::runtime_error when a file cannot be opened — shared by
-/// sim_cli and the bench drivers.
+/// Throws std::runtime_error when a file cannot be opened (sim_cli's
+/// --emit).
 std::vector<std::string> write_sweep_files(const std::string& name,
                                            const SweepResult& sweep,
                                            bool csv, bool json,

@@ -44,12 +44,12 @@ struct SweepResult {
   }
 };
 
-/// Parallel experiment runner. Every (point, replication) unit is a pure
-/// function of `(config, seed, rep_index)` — `system::SimulationRun` mixes
-/// the replication index into the seed — so the runner executes units in
-/// any order across the pool, stores each result in its preassigned slot,
-/// and aggregates in replication order. Output is byte-identical to the
-/// serial `system::run_replications`.
+/// The experiment runner — the one way replications and sweeps execute.
+/// Every (point, replication) unit is a pure function of `(config, seed,
+/// rep_index)` — `system::SimulationRun` mixes the replication index into
+/// the seed — so the runner executes units in any order across the pool,
+/// stores each result in its preassigned slot, and aggregates in
+/// replication order. Output is byte-identical for every job count.
 class Runner {
  public:
   explicit Runner(RunnerOptions options = {});
@@ -58,7 +58,8 @@ class Runner {
   /// Worker threads the pool will use (options.jobs resolved).
   std::size_t jobs() const { return jobs_; }
 
-  /// Parallel equivalent of system::run_replications.
+  /// Runs `replications` independent replications of `config` (seeded from
+  /// config.seed) and aggregates them with system::aggregate_runs.
   system::ExperimentResult run_replications(const system::Config& config,
                                             std::size_t replications) const;
 

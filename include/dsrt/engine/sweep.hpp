@@ -11,7 +11,7 @@
 namespace dsrt::engine {
 
 /// One sweep dimension: a column name plus a list of (label, config
-/// mutator) values. Axes are declarative so the ~20 bench drivers share
+/// mutator) values. Axes are declarative so every study manifest shares
 /// one expansion/execution path instead of hand-rolled nested loops.
 struct SweepAxis {
   std::string name;

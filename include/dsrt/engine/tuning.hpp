@@ -6,7 +6,7 @@
 
 #include "dsrt/system/config.hpp"
 
-namespace dsrt::system {
+namespace dsrt::engine {
 
 /// Outcome of a DIV-x search.
 struct DivXTuneResult {
@@ -30,11 +30,11 @@ struct DivXTuneResult {
 /// (and symmetrically x_lo).
 ///
 /// Each probe runs `replications` replications of `config` with DIV-x as
-/// the PSP strategy; choose the horizon accordingly — tuning cost is
-/// evaluations * replications * one run.
-DivXTuneResult tune_div_x(Config config, std::size_t replications = 1,
-                          double x_lo = 0.125, double x_hi = 16.0,
-                          std::size_t max_probes = 10,
+/// the PSP strategy on the engine Runner; choose the horizon accordingly —
+/// tuning cost is evaluations * replications * one run.
+DivXTuneResult tune_div_x(system::Config config,
+                          std::size_t replications = 1, double x_lo = 0.125,
+                          double x_hi = 16.0, std::size_t max_probes = 10,
                           double gap_tolerance = 0.01);
 
-}  // namespace dsrt::system
+}  // namespace dsrt::engine

@@ -103,9 +103,9 @@ class Registry {
   /// Flattens the registry into a mergeable snapshot. Scalars copy through;
   /// each histogram contributes `<name>.count` (counter) plus
   /// `<name>.mean`, `<name>.p50`, `<name>.p99` (gauges) and `<name>.max`
-  /// (peak, upper bin edge) — quantile gauges pool as means of per-run
-  /// quantiles, which is approximate across replications but exact within
-  /// one run.
+  /// (peak, the largest observed value) — the quantiles are bin-
+  /// interpolated and clamped to the observed [min, max], and pool as
+  /// means of per-run quantiles, which is approximate across replications.
   Snapshot snapshot() const;
 
   /// Drops all values (not the registrations).

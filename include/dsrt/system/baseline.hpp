@@ -8,7 +8,7 @@ namespace dsrt::system {
 /// k = 6 nodes, EDF, no abort, m = 4 serial subtasks, mu_subtask =
 /// mu_local = 1, load = 0.5, frac_local = 0.75, local slack U[0.25, 2.5],
 /// rel_flex = 1, perfect prediction, horizon 1e6. SSP strategy defaults to
-/// UD; benches override it per series.
+/// UD; study manifests override it per series.
 Config baseline_ssp();
 
 /// Section 5 baseline for the parallel-subtask experiments: as Table 1 but
@@ -19,8 +19,9 @@ Config baseline_psp();
 
 /// Section 6 baseline for serial-parallel tasks: a serial chain of 3 stages
 /// where each stage is, with probability 1/2, a parallel group of 3
-/// subtasks on distinct nodes. (The paper does not pin this shape down; see
-/// DESIGN.md for the substitution rationale.)
+/// subtasks on distinct nodes. The paper does not pin this shape down; this
+/// is a substitute: a small tree that mixes serial stages with parallel
+/// fan-outs, as Section 6 describes.
 Config baseline_combined();
 
 }  // namespace dsrt::system

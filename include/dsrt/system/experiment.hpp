@@ -34,12 +34,4 @@ struct ExperimentResult {
 ExperimentResult aggregate_runs(std::vector<RunMetrics> runs,
                                 double confidence = 0.95);
 
-/// Runs `replications` independent replications of `config` (seeded from
-/// config.seed) and aggregates them, one after another on the calling
-/// thread. The engine layer (dsrt/engine/runner.hpp) produces identical
-/// results concurrently.
-ExperimentResult run_replications(const Config& config,
-                                  std::size_t replications,
-                                  double confidence = 0.95);
-
 }  // namespace dsrt::system

@@ -46,12 +46,26 @@ struct MetricSpec {
 /// manifest if blessed and checked on the same class of machine.
 std::vector<MetricSpec> default_metrics(double ev_per_sec_rel_tol = 9.0);
 
+/// One printed table of a manifest (`sweep_cli table`): the recorded
+/// Exact `metric` pivoted into one row per combination of the `rows` axes
+/// and one column per value of the `column` axis. Every grid axis appears
+/// exactly once across rows + column. Cells show the recorded value — for
+/// the md metrics the replication mean — with one decimal, in percent
+/// when `percent`.
+struct TableView {
+  std::string title;
+  std::vector<std::string> rows;
+  std::string column;
+  std::string metric;
+  bool percent = true;
+};
+
 /// A named, re-runnable experiment grid: everything `sweep_cli` needs to
-/// run, shard, check, and reproduce it — base config, axes, replication
-/// count, and which metrics its result database records. The figure/
-/// ablation benches declare their grids here once and become thin
-/// renderers over the same definition, so the checked surface and the
-/// printed tables can never drift apart.
+/// run, shard, check, reproduce, and print it — base config, axes,
+/// replication count, which metrics its result database records, and the
+/// tables it renders. Each paper figure and ablation is declared here
+/// once, so the checked surface and the printed tables can never drift
+/// apart.
 struct Manifest {
   std::string name;
   std::string description;
@@ -59,6 +73,7 @@ struct Manifest {
   std::function<system::Config()> base;
   std::function<engine::SweepGrid()> grid;
   std::vector<MetricSpec> metrics;
+  std::vector<TableView> views;
 
   /// Grid expansion over the base config, with every point validated.
   /// The point `ordinal` is the stable index the whole harness keys on
@@ -76,7 +91,9 @@ struct Manifest {
 /// source of truth for the experiment surface; tests build private ones.
 class Registry {
  public:
-  /// Throws std::invalid_argument on duplicate or empty names.
+  /// Throws std::invalid_argument on duplicate or empty names, and on a
+  /// view naming an unknown axis or metric, a non-Exact metric, or not
+  /// placing every axis exactly once.
   void add(Manifest manifest);
 
   const Manifest* find(std::string_view name) const;
@@ -93,8 +110,8 @@ class Registry {
   std::vector<Manifest> manifests_;
 };
 
-/// The process-wide registry holding the built-in manifests (fig2_ssp,
-/// fig3_frac_local, fig4_psp, abl_rel_flex, abl_scale_quick), constructed
+/// The process-wide registry holding the built-in manifests (the paper
+/// figures and every ablation grid, see src/xp/manifests.cpp), constructed
 /// on first use.
 Registry& builtin_registry();
 

@@ -5,6 +5,7 @@
 #include <string>
 #include <string_view>
 
+#include "dsrt/engine/runner.hpp"
 #include "dsrt/xp/artifact.hpp"
 #include "dsrt/xp/manifest.hpp"
 
@@ -71,5 +72,25 @@ RunSummary run_manifest(const Manifest& manifest,
 /// std::invalid_argument when `index` is out of range.
 PointRecord reproduce_point(const Manifest& manifest, std::size_t index,
                             std::size_t jobs = 1);
+
+/// A manifest's whole grid executed in one engine sweep, as `sweep_cli
+/// table` runs it: the sweep plus one record per point, in grid order,
+/// holding the manifest's metric values.
+struct GridRun {
+  engine::SweepResult sweep;
+  std::vector<PointRecord> records;
+};
+
+/// Runs the manifest's grid over `base` — its base() with any run-control
+/// overrides applied — at `replications` per point. At base() and the
+/// manifest's replication count every Exact metric is bitwise what
+/// run_point records and `sweep_cli check` verifies. A pooled sweep does
+/// not time single points, so Relative metrics see wall_seconds = 0.
+GridRun run_grid(const Manifest& manifest, const system::Config& base,
+                 std::size_t replications, std::size_t jobs);
+
+/// Every view of the manifest over `run`: its title line, then the pivot
+/// table (engine::pivot_table), each followed by a blank line.
+std::string render_views(const Manifest& manifest, const GridRun& run);
 
 }  // namespace dsrt::xp

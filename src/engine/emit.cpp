@@ -102,40 +102,74 @@ void write_sweep_csv(const SweepResult& sweep, std::ostream& os) {
 }
 
 stats::Table pivot_table(
-    const SweepResult& sweep,
+    const SweepResult& sweep, const std::vector<std::string>& rows,
+    const std::string& column,
     const std::function<std::string(const PointResult&)>& cell) {
-  if (sweep.axis_names.size() != 2)
-    throw std::invalid_argument("pivot_table: sweep must have exactly 2 axes");
+  // Map the named axes to sweep positions; every axis placed exactly once,
+  // or two points would land in one cell.
+  const std::size_t axes = sweep.axis_names.size();
+  std::vector<std::size_t> row_axes;
+  std::vector<bool> placed(axes, false);
+  auto position = [&](const std::string& name) {
+    for (std::size_t a = 0; a < axes; ++a) {
+      if (sweep.axis_names[a] != name) continue;
+      if (placed[a])
+        throw std::invalid_argument("pivot_table: axis '" + name +
+                                    "' placed twice");
+      placed[a] = true;
+      return a;
+    }
+    throw std::invalid_argument("pivot_table: unknown axis '" + name + "'");
+  };
+  for (const std::string& name : rows) row_axes.push_back(position(name));
+  const std::size_t col_axis = position(column);
+  for (std::size_t a = 0; a < axes; ++a)
+    if (!placed[a])
+      throw std::invalid_argument("pivot_table: axis '" +
+                                  sweep.axis_names[a] + "' not placed");
 
   // Recover the axis value lists from the points' coordinates.
-  std::vector<std::string> row_labels, col_labels;
+  std::vector<std::vector<std::string>> labels(axes);
   for (const PointResult& pr : sweep.points) {
-    const std::size_t i0 = pr.point.indices[0];
-    const std::size_t i1 = pr.point.indices[1];
-    if (i0 >= row_labels.size()) row_labels.resize(i0 + 1);
-    if (i1 >= col_labels.size()) col_labels.resize(i1 + 1);
-    row_labels[i0] = pr.point.labels[0];
-    col_labels[i1] = pr.point.labels[1];
+    for (std::size_t a = 0; a < axes; ++a) {
+      const std::size_t i = pr.point.indices[a];
+      if (i >= labels[a].size()) labels[a].resize(i + 1);
+      labels[a][i] = pr.point.labels[a];
+    }
   }
 
-  // A zipped 2-axis sweep has diagonal coordinates only; pivoting it would
-  // render a mostly-empty matrix that looks like missing data.
-  if (sweep.points.size() != row_labels.size() * col_labels.size())
+  // A zipped sweep has diagonal coordinates only; pivoting it would render
+  // a mostly-empty matrix that looks like missing data.
+  std::size_t row_count = 1;
+  for (std::size_t a : row_axes) row_count *= labels[a].size();
+  const std::size_t col_count = labels[col_axis].size();
+  if (sweep.points.size() != row_count * col_count)
     throw std::invalid_argument(
         "pivot_table: sweep does not cover the full cartesian grid "
         "(zipped sweep?)");
 
-  std::vector<std::string> headers = {sweep.axis_names[0]};
-  headers.insert(headers.end(), col_labels.begin(), col_labels.end());
+  std::vector<std::string> headers = rows;
+  headers.insert(headers.end(), labels[col_axis].begin(),
+                 labels[col_axis].end());
   stats::Table table(std::move(headers));
 
+  // Row number = mixed-radix value of the row-axis indices.
   std::vector<std::vector<std::string>> cells(
-      row_labels.size(), std::vector<std::string>(col_labels.size()));
-  for (const PointResult& pr : sweep.points)
-    cells[pr.point.indices[0]][pr.point.indices[1]] = cell(pr);
-  for (std::size_t i = 0; i < row_labels.size(); ++i) {
-    std::vector<std::string> row = {row_labels[i]};
-    row.insert(row.end(), cells[i].begin(), cells[i].end());
+      row_count, std::vector<std::string>(col_count));
+  for (const PointResult& pr : sweep.points) {
+    std::size_t r = 0;
+    for (std::size_t a : row_axes)
+      r = r * labels[a].size() + pr.point.indices[a];
+    cells[r][pr.point.indices[col_axis]] = cell(pr);
+  }
+  for (std::size_t r = 0; r < row_count; ++r) {
+    std::vector<std::string> row(row_axes.size());
+    for (std::size_t i = row_axes.size(), rest = r; i-- > 0;) {
+      const std::size_t a = row_axes[i];
+      row[i] = labels[a][rest % labels[a].size()];
+      rest /= labels[a].size();
+    }
+    row.insert(row.end(), cells[r].begin(), cells[r].end());
     table.add_row(std::move(row));
   }
   return table;

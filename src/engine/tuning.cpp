@@ -1,12 +1,12 @@
-#include "dsrt/system/tuning.hpp"
+#include "dsrt/engine/tuning.hpp"
 
 #include <cmath>
 #include <stdexcept>
 
 #include "dsrt/core/parallel_strategies.hpp"
-#include "dsrt/system/experiment.hpp"
+#include "dsrt/engine/runner.hpp"
 
-namespace dsrt::system {
+namespace dsrt::engine {
 
 namespace {
 
@@ -16,16 +16,17 @@ struct Probe {
   double gap;
 };
 
-Probe probe_at(Config& config, double x, std::size_t replications) {
+Probe probe_at(system::Config& config, double x, std::size_t replications) {
   config.psp = core::make_div_x(x);
-  const ExperimentResult r = run_replications(config, replications);
+  const system::ExperimentResult r =
+      Runner().run_replications(config, replications);
   return {r.md_local.mean, r.md_global.mean,
           r.md_global.mean - r.md_local.mean};
 }
 
 }  // namespace
 
-DivXTuneResult tune_div_x(Config config, std::size_t replications,
+DivXTuneResult tune_div_x(system::Config config, std::size_t replications,
                           double x_lo, double x_hi, std::size_t max_probes,
                           double gap_tolerance) {
   if (!(x_lo > 0) || !(x_hi > x_lo))
@@ -78,4 +79,4 @@ DivXTuneResult tune_div_x(Config config, std::size_t replications,
   return result;
 }
 
-}  // namespace dsrt::system
+}  // namespace dsrt::engine

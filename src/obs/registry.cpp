@@ -141,14 +141,21 @@ Snapshot Registry::snapshot() const {
   for (const Scalar& s : scalars_)
     snap.insert(MetricValue{s.name, s.kind, s.value, 1});
   for (const Hist& h : hists_) {
+    // Bin interpolation can land outside the observed range (one sample of
+    // 0 reads as p50 = half a bin); a quantile never leaves [min, max].
+    const auto quantile = [&h](double q) {
+      const double v = h.hist.quantile(q);
+      return h.tally.empty() ? v
+                             : std::clamp(v, h.tally.min(), h.tally.max());
+    };
     snap.insert(MetricValue{h.name + ".count", MetricKind::Counter,
                             static_cast<double>(h.hist.count()), 1});
     snap.insert(MetricValue{h.name + ".mean", MetricKind::Gauge,
                             h.tally.mean(), 1});
     snap.insert(MetricValue{h.name + ".p50", MetricKind::Gauge,
-                            h.hist.quantile(0.5), 1});
+                            quantile(0.5), 1});
     snap.insert(MetricValue{h.name + ".p99", MetricKind::Gauge,
-                            h.hist.quantile(0.99), 1});
+                            quantile(0.99), 1});
     snap.insert(MetricValue{h.name + ".max", MetricKind::Peak,
                             h.tally.empty() ? 0.0 : h.tally.max(), 1});
   }

@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "dsrt/system/simulation.hpp"
-
 namespace dsrt::system {
 
 ExperimentResult aggregate_runs(std::vector<RunMetrics> runs,
@@ -37,18 +35,6 @@ ExperimentResult aggregate_runs(std::vector<RunMetrics> runs,
       stats::replication_estimate(resp_global, confidence);
   result.utilization = stats::replication_estimate(util, confidence);
   return result;
-}
-
-ExperimentResult run_replications(const Config& config,
-                                  std::size_t replications,
-                                  double confidence) {
-  if (replications == 0)
-    throw std::invalid_argument("run_replications: zero replications");
-  std::vector<RunMetrics> runs;
-  runs.reserve(replications);
-  for (std::size_t r = 0; r < replications; ++r)
-    runs.push_back(simulate(config, r));
-  return aggregate_runs(std::move(runs), confidence);
 }
 
 }  // namespace dsrt::system

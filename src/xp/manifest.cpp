@@ -1,5 +1,6 @@
 #include "dsrt/xp/manifest.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace dsrt::xp {
@@ -74,6 +75,28 @@ void Registry::add(Manifest manifest) {
   if (manifest.replications == 0)
     throw std::invalid_argument("Registry::add: manifest '" + manifest.name +
                                 "' needs replications >= 1");
+  std::vector<std::string> axes = manifest.grid().axis_names();
+  std::sort(axes.begin(), axes.end());
+  for (const TableView& view : manifest.views) {
+    const std::string where = "Registry::add: manifest '" + manifest.name +
+                              "' view '" + view.title + "'";
+    std::vector<std::string> placed = view.rows;
+    placed.push_back(view.column);
+    for (const std::string& axis : placed)
+      if (!std::binary_search(axes.begin(), axes.end(), axis))
+        throw std::invalid_argument(where + ": unknown axis '" + axis + "'");
+    std::sort(placed.begin(), placed.end());
+    if (placed != axes)
+      throw std::invalid_argument(where +
+                                  ": must place every axis exactly once");
+    const MetricSpec* metric = manifest.metric(view.metric);
+    if (!metric)
+      throw std::invalid_argument(where + ": unknown metric '" + view.metric +
+                                  "'");
+    if (metric->kind != MetricSpec::Kind::Exact)
+      throw std::invalid_argument(where + ": metric '" + view.metric +
+                                  "' is not an Exact metric");
+  }
   manifests_.push_back(std::move(manifest));
 }
 

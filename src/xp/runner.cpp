@@ -3,10 +3,11 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <stdexcept>
 #include <vector>
 
-#include "dsrt/engine/runner.hpp"
+#include "dsrt/engine/emit.hpp"
 
 namespace dsrt::xp {
 
@@ -21,6 +22,23 @@ bool parse_size(std::string_view text, std::size_t& out) {
   }
   out = value;
   return true;
+}
+
+PointRecord make_record(const Manifest& manifest,
+                        const engine::SweepPoint& point,
+                        const system::ExperimentResult& result,
+                        double wall_seconds) {
+  PointRecord record;
+  record.index = point.ordinal;
+  record.labels = point.labels;
+  record.config_hash = point_config_hash(manifest, point);
+  record.seed = point.config.seed;
+  record.replications = result.runs.size();
+  record.wall_seconds = wall_seconds;
+  const PointRun run{result, wall_seconds};
+  for (const MetricSpec& metric : manifest.metrics)
+    record.metrics.emplace_back(metric.name, metric.select(run));
+  return record;
 }
 
 }  // namespace
@@ -56,18 +74,7 @@ PointRecord run_point(const Manifest& manifest,
   const double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
-
-  PointRecord record;
-  record.index = point.ordinal;
-  record.labels = point.labels;
-  record.config_hash = point_config_hash(manifest, point);
-  record.seed = point.config.seed;
-  record.replications = manifest.replications;
-  record.wall_seconds = wall;
-  const PointRun run{result, wall};
-  for (const MetricSpec& metric : manifest.metrics)
-    record.metrics.emplace_back(metric.name, metric.select(run));
-  return record;
+  return make_record(manifest, point, result, wall);
 }
 
 RunSummary run_manifest(const Manifest& manifest,
@@ -154,6 +161,36 @@ PointRecord reproduce_point(const Manifest& manifest, std::size_t index,
   PointRecord record = run_point(manifest, points[index], jobs);
   record.total = points.size();
   return record;
+}
+
+GridRun run_grid(const Manifest& manifest, const system::Config& base,
+                 std::size_t replications, std::size_t jobs) {
+  engine::RunnerOptions options;
+  options.jobs = jobs;
+  GridRun run;
+  run.sweep =
+      engine::Runner(options).run_sweep(manifest.grid(), base, replications);
+  for (const engine::PointResult& pr : run.sweep.points)
+    run.records.push_back(make_record(manifest, pr.point, pr.result, 0));
+  return run;
+}
+
+std::string render_views(const Manifest& manifest, const GridRun& run) {
+  std::ostringstream os;
+  for (const TableView& view : manifest.views) {
+    if (!manifest.metric(view.metric))
+      throw std::invalid_argument("render_views: unknown metric '" +
+                                  view.metric + "'");
+    const auto cell = [&](const engine::PointResult& pr) {
+      const double value = *run.records[pr.point.ordinal].metric(view.metric);
+      return view.percent ? stats::Table::percent(value, 1)
+                          : stats::Table::cell(value, 1);
+    };
+    os << view.title << '\n';
+    engine::pivot_table(run.sweep, view.rows, view.column, cell).print(os);
+    os << '\n';
+  }
+  return os.str();
 }
 
 }  // namespace dsrt::xp

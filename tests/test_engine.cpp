@@ -191,12 +191,9 @@ void expect_identical_runs(const std::vector<system::RunMetrics>& a,
 TEST(Runner, ParallelReplicationsMatchSerialBitForBit) {
   const system::Config cfg = tiny_config();
   const std::size_t reps = 4;
-  const auto serial = system::run_replications(cfg, reps);
-
   engine::RunnerOptions one_job;
   one_job.jobs = 1;
-  const auto threaded1 = engine::Runner(one_job).run_replications(cfg, reps);
-  expect_identical_runs(serial.runs, threaded1.runs);
+  const auto serial = engine::Runner(one_job).run_replications(cfg, reps);
 
   engine::RunnerOptions four_jobs;
   four_jobs.jobs = 4;
@@ -221,8 +218,11 @@ TEST(Runner, SweepMatchesPerPointSerialRuns) {
   EXPECT_EQ(sweep.total_runs, 8u);
   EXPECT_EQ(sweep.axis_names, (std::vector<std::string>{"load", "ssp"}));
 
+  engine::RunnerOptions one_job;
+  one_job.jobs = 1;
   for (const auto& pr : sweep.points) {
-    const auto serial = system::run_replications(pr.point.config, 2);
+    const auto serial =
+        engine::Runner(one_job).run_replications(pr.point.config, 2);
     expect_identical_runs(serial.runs, pr.result.runs);
   }
 }
@@ -297,7 +297,7 @@ TEST(Emit, TablesCsvAndJsonAgreeOnShape) {
   EXPECT_EQ(table.rows(), 4u);
 
   const auto pivot = engine::pivot_table(
-      sweep, [](const engine::PointResult& p) {
+      sweep, {"load"}, "ssp", [](const engine::PointResult& p) {
         return stats::Table::percent(p.result.md_global.mean, 1);
       });
   EXPECT_EQ(pivot.rows(), 2u);  // one row per load
@@ -340,11 +340,50 @@ TEST(Emit, PivotTableRejectsZippedSweep) {
   system::Config cfg = tiny_config();
   cfg.horizon = 500;
   const auto sweep = engine::Runner().run_sweep(grid, cfg, 1);
-  EXPECT_THROW(engine::pivot_table(sweep,
+  EXPECT_THROW(engine::pivot_table(sweep, {"load"}, "ssp",
                                    [](const engine::PointResult&) {
                                      return std::string();
                                    }),
                std::invalid_argument);
+}
+
+TEST(Emit, PivotTableStacksRowAxesAndPlacesEveryAxisOnce) {
+  engine::SweepGrid grid;
+  grid.axis(engine::SweepAxis::by_field("load", {"0.2", "0.4"}))
+      .axis(engine::SweepAxis::by_field("ssp", {"UD", "EQF"}))
+      .axis(engine::SweepAxis::by_field("policy", {"EDF", "MLF", "FCFS"}));
+  system::Config cfg = tiny_config();
+  cfg.horizon = 200;
+  const auto sweep = engine::Runner().run_sweep(grid, cfg, 1);
+  const auto coordinates = [](const engine::PointResult& p) {
+    return p.point.labels[0] + "/" + p.point.labels[1] + "/" +
+           p.point.labels[2];
+  };
+
+  // Rows (policy, load), policy slowest; one column per ssp value. Each
+  // cell must hold the point at exactly its coordinates.
+  const auto table = engine::pivot_table(sweep, {"policy", "load"}, "ssp",
+                                         coordinates);
+  std::ostringstream csv;
+  table.print_csv(csv);
+  EXPECT_EQ(csv.str(),
+            "policy,load,UD,EQF\n"
+            "EDF,0.2,0.2/UD/EDF,0.2/EQF/EDF\n"
+            "EDF,0.4,0.4/UD/EDF,0.4/EQF/EDF\n"
+            "MLF,0.2,0.2/UD/MLF,0.2/EQF/MLF\n"
+            "MLF,0.4,0.4/UD/MLF,0.4/EQF/MLF\n"
+            "FCFS,0.2,0.2/UD/FCFS,0.2/EQF/FCFS\n"
+            "FCFS,0.4,0.4/UD/FCFS,0.4/EQF/FCFS\n");
+
+  for (const auto& [rows, column] :
+       std::vector<std::pair<std::vector<std::string>, std::string>>{
+           {{"load"}, "ssp"},                     // policy not placed
+           {{"load", "ssp", "policy"}, "ssp"},    // ssp placed twice
+           {{"load", "policy"}, "nope"}}) {       // unknown axis
+    EXPECT_THROW(engine::pivot_table(sweep, rows, column, coordinates),
+                 std::invalid_argument)
+        << column;
+  }
 }
 
 TEST(Emit, WriteBenchArtifactCreatesFile) {

@@ -5,8 +5,8 @@
 
 #include "dsrt/core/parallel_strategies.hpp"
 #include "dsrt/core/serial_strategies.hpp"
+#include "dsrt/engine/runner.hpp"
 #include "dsrt/system/baseline.hpp"
-#include "dsrt/system/experiment.hpp"
 #include "dsrt/system/simulation.hpp"
 
 namespace {
@@ -146,7 +146,7 @@ TEST(IntegrationBaseline, WarmupDropsEarlyTasks) {
 
 TEST(IntegrationBaseline, ExperimentAggregatesReplications) {
   Config cfg = quick(system::baseline_ssp(), 20000);
-  const auto result = system::run_replications(cfg, 3);
+  const auto result = engine::Runner().run_replications(cfg, 3);
   ASSERT_EQ(result.runs.size(), 3u);
   EXPECT_EQ(result.md_local.replications, 3u);
   EXPECT_GT(result.md_local.half_width, 0.0);
@@ -157,7 +157,8 @@ TEST(IntegrationBaseline, ExperimentAggregatesReplications) {
             std::min(result.md_local.mean, result.md_global.mean) - 1e-9);
   EXPECT_LE(result.md_overall.mean,
             std::max(result.md_local.mean, result.md_global.mean) + 1e-9);
-  EXPECT_THROW(system::run_replications(cfg, 0), std::invalid_argument);
+  EXPECT_THROW(engine::Runner().run_replications(cfg, 0),
+               std::invalid_argument);
 }
 
 TEST(IntegrationBaseline, AbortPolicyReducesWastedWork) {

@@ -132,6 +132,33 @@ TEST(ObsProbes, HarvestIsDeterministicAndConsistent) {
   EXPECT_EQ(a.counters.value_or("sim.queue.mode_flips"), 0.0);
 }
 
+TEST(ObsProbes, HistogramQuantilesStayInsideTheObservedRange) {
+  // Fig. 2 and a light-load jsq-pex/exact run, where node.ready_depth is
+  // all zeros: bin interpolation alone would report p50 = 0.5 over max 0.
+  system::Config jsq = probed_fig2();
+  jsq.load = 0.3;
+  jsq.placement = core::PlacementSpec::parse("jsq-pex");
+  jsq.load_model = core::LoadModelSpec::parse("exact");
+  for (const system::Config& cfg : {probed_fig2(), jsq}) {
+    const obs::Snapshot snap = system::simulate(cfg, 0).counters;
+    std::size_t histograms = 0;
+    for (const obs::MetricValue& m : snap.metrics()) {
+      const std::string suffix = ".p50";
+      if (m.name.size() <= suffix.size() ||
+          m.name.compare(m.name.size() - suffix.size(), suffix.size(),
+                         suffix) != 0)
+        continue;
+      const std::string hist = m.name.substr(0, m.name.size() - 4);
+      SCOPED_TRACE(hist);
+      ++histograms;
+      const double p99 = snap.value_or(hist + ".p99", -1);
+      EXPECT_LE(m.value, p99);
+      EXPECT_LE(p99, snap.value_or(hist + ".max", -1));
+    }
+    EXPECT_GT(histograms, 0u);
+  }
+}
+
 TEST(ObsProbes, ProbedRunMatchesUnprobedGolden) {
   // Config::probes must not perturb the trajectory: headline metrics of a
   // probed run equal the unprobed run bit for bit.

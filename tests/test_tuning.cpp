@@ -1,12 +1,13 @@
 // Tests for the DIV-x auto-tuner.
 #include <gtest/gtest.h>
 
+#include "dsrt/engine/tuning.hpp"
 #include "dsrt/system/baseline.hpp"
-#include "dsrt/system/tuning.hpp"
 
 namespace {
 
 using namespace dsrt::system;
+using dsrt::engine::tune_div_x;
 
 Config tune_config() {
   Config cfg = baseline_psp();

@@ -1,8 +1,8 @@
 // xp layer: the sweep harness. Shard-spec parsing, manifest registry
-// errors, hexfloat round-trips, shard JSONL corruption handling,
-// shard-union / resume / reproduce bitwise equivalence, and the
-// tolerance-band checker naming the exact (manifest, index, metric) of
-// every out-of-band point.
+// errors (incl. table-view validation), hexfloat round-trips, shard JSONL
+// corruption handling, shard-union / resume / reproduce / table bitwise
+// equivalence, and the tolerance-band checker naming the exact (manifest,
+// index, metric) of every out-of-band point.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "dsrt/engine/sweep.hpp"
+#include "dsrt/stats/report.hpp"
 #include "dsrt/system/baseline.hpp"
 #include "dsrt/xp/artifact.hpp"
 #include "dsrt/xp/checker.hpp"
@@ -129,6 +130,28 @@ TEST(Registry, RejectsDuplicateAndEmptyNames) {
   EXPECT_THROW(registry.add(tiny_manifest("")), std::invalid_argument);
 }
 
+TEST(Registry, RejectsViewsNamingUnknownAxesOrMetrics) {
+  const auto with_view = [](xp::TableView view) {
+    xp::Manifest m = tiny_manifest("viewed");
+    m.views = {std::move(view)};
+    return m;
+  };
+  xp::Registry registry;
+  for (const xp::TableView& bad : std::vector<xp::TableView>{
+           {"unknown row axis", {"nope"}, "ssp", "md_global"},
+           {"unknown column axis", {"load"}, "nope", "md_global"},
+           {"unknown metric", {"load"}, "ssp", "md_nope"},
+           {"axis left out", {}, "ssp", "md_global"},
+           {"axis placed twice", {"ssp"}, "ssp", "md_global"},
+           {"banded metric", {"load"}, "ssp", "events_per_sec"}}) {
+    EXPECT_THROW(registry.add(with_view(bad)), std::invalid_argument)
+        << bad.title;
+  }
+  EXPECT_TRUE(registry.all().empty());
+  registry.add(with_view({"ok", {"load"}, "ssp", "md_global"}));
+  EXPECT_EQ(registry.all().size(), 1u);
+}
+
 TEST(Registry, BuiltinRegistryHoldsTheExperimentSurface) {
   for (const char* name : {"fig2_ssp", "fig3_frac_local", "fig4_psp",
                            "abl_rel_flex", "abl_scale_quick"}) {
@@ -137,6 +160,9 @@ TEST(Registry, BuiltinRegistryHoldsTheExperimentSurface) {
     EXPECT_GT(manifest.points(), 0u);
     EXPECT_FALSE(manifest.metrics.empty());
   }
+  // Every study prints something under `sweep_cli table`.
+  for (const xp::Manifest& manifest : xp::builtin_registry().all())
+    EXPECT_FALSE(manifest.views.empty()) << manifest.name;
   try {
     xp::find_manifest("nope");
     FAIL() << "expected invalid_argument";
@@ -169,9 +195,8 @@ TEST(Hexfloat, ParseRejectsGarbageAndTrailingInput) {
 
 // --- manifest expansion vs the figure grids -------------------------------
 
-/// The built-in manifests must expand to exactly the grids the figure
-/// benches render (the benches now pull the definition from the registry;
-/// this pins the published shape so a manifest edit is a conscious,
+/// The built-in manifests must expand to exactly the published figure
+/// grids (this pins the shape so a manifest edit is a conscious,
 /// test-visible act).
 TEST(Manifest, Fig2ExpansionMatchesTheBenchGridPointForPoint) {
   const xp::Manifest& manifest = xp::find_manifest("fig2_ssp");
@@ -458,6 +483,37 @@ TEST(Runner, ReproduceReplaysRecordedPointsBitwiseAcrossManifests) {
 
   EXPECT_THROW(xp::reproduce_point(manifests[0], manifests[0].points(), 1),
                std::invalid_argument);
+}
+
+// --- table ----------------------------------------------------------------
+
+TEST(Table, GridRunMatchesRunPointAndRendersEveryView) {
+  // The `sweep_cli table` path runs the whole grid in one engine sweep;
+  // its cells must be exactly what run_point records and check verifies.
+  xp::Manifest manifest = tiny_manifest();
+  manifest.views = {{"MD_global (%)", {"load"}, "ssp", "md_global"},
+                    {"events", {"ssp"}, "load", "events", false}};
+  const xp::GridRun run = xp::run_grid(manifest, manifest.base(),
+                                       manifest.replications, /*jobs=*/2);
+  const std::vector<engine::SweepPoint> points = manifest.expand();
+  ASSERT_EQ(run.records.size(), points.size());
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    const xp::PointRecord single = xp::run_point(manifest, points[i], 1);
+    EXPECT_EQ(run.records[i].index, i);
+    EXPECT_EQ(run.records[i].labels, single.labels);
+    expect_exact_metrics_equal(manifest, run.records[i], single);
+  }
+
+  const std::string text = xp::render_views(manifest, run);
+  EXPECT_NE(text.find("MD_global (%)\n"), std::string::npos) << text;
+  EXPECT_NE(text.find("events\n"), std::string::npos) << text;
+  // Point 1 is (load 0.2, EQF): its percent cell and raw event count.
+  EXPECT_NE(text.find(stats::Table::percent(
+                *run.records[1].metric("md_global"), 1)),
+            std::string::npos);
+  EXPECT_NE(text.find(stats::Table::cell(*run.records[1].metric("events"),
+                                         1)),
+            std::string::npos);
 }
 
 // --- checker --------------------------------------------------------------

@@ -1,15 +1,18 @@
 // The committed expectation files (expectations/*.json) against the
-// current built-in manifest definitions: every file parses, covers its
-// manifest's full current grid with matching config hashes (cheap — no
-// simulation), and sampled points reproduce bitwise from their seeds (the
-// provenance chain the harness promises: manifest + index -> config +
-// seed -> metrics).
+// current built-in manifest definitions: every registered manifest has
+// one, every file parses and covers its manifest's full current grid with
+// matching config hashes (cheap — no simulation), sampled points
+// reproduce bitwise from their seeds (the provenance chain the harness
+// promises: manifest + index -> config + seed -> metrics), and the
+// committed fault ladder degrades monotonically.
 //
 // DSRT_REPO_DIR points at the source tree (set by CMake) so the test runs
 // from any build directory.
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <filesystem>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -21,9 +24,6 @@ namespace {
 
 using namespace dsrt;
 
-const char* kCommitted[] = {"fig2_ssp", "fig3_frac_local", "fig4_psp",
-                            "abl_scale_quick", "wl_mix", "abl_stale_decay"};
-
 std::string expectations_dir() {
   return std::string(DSRT_REPO_DIR) + "/expectations";
 }
@@ -32,8 +32,18 @@ bool bits_equal(double a, double b) {
   return std::memcmp(&a, &b, sizeof(double)) == 0;
 }
 
+TEST(CommittedExpectations, EveryBuiltinManifestHasOne) {
+  for (const std::string& name : xp::builtin_registry().names())
+    EXPECT_TRUE(std::filesystem::exists(
+        xp::expectations_path(name, expectations_dir())))
+        << name << " has no committed expectations; run and bless it";
+}
+
 TEST(CommittedExpectations, CoverTheCurrentGridsWithMatchingHashes) {
-  for (const char* name : kCommitted) {
+  for (const std::string& name : xp::builtin_registry().names()) {
+    if (!std::filesystem::exists(
+            xp::expectations_path(name, expectations_dir())))
+      continue;  // reported by EveryBuiltinManifestHasOne
     SCOPED_TRACE(name);
     const xp::Manifest& manifest = xp::find_manifest(name);
     const xp::Expectations expectations = xp::load_expectations(
@@ -92,6 +102,33 @@ TEST(CommittedExpectations, SampledPointsReproduceBitwiseFromTheirSeeds) {
           << metric_name << ": committed " << xp::hexfloat(*expected)
           << ", reproduced " << xp::hexfloat(value);
     }
+  }
+}
+
+TEST(CommittedExpectations, FaultLadderDegradesMonotonically) {
+  // Within every strategy/placement column of the committed abl_faults
+  // grid, MD_overall must not fall as fault intensity rises. sweep-check
+  // pins each fresh run bitwise to this file, so the property holds for
+  // every pushed build.
+  const xp::Manifest& manifest = xp::find_manifest("abl_faults");
+  const xp::Expectations expectations = xp::load_expectations(
+      xp::expectations_path("abl_faults", expectations_dir()));
+  const engine::SweepGrid grid = manifest.grid();
+  ASSERT_EQ(grid.axes().front().name, "faults");
+  std::map<std::string, std::vector<double>> columns;
+  for (const auto& point : expectations.values) {
+    const double* md = point.metric("md_overall");
+    ASSERT_NE(md, nullptr);
+    columns[point.labels.back()].push_back(*md);  // grid order: faults slow
+  }
+  ASSERT_EQ(columns.size(), grid.axes().back().size());
+  for (const auto& [column, md] : columns) {
+    ASSERT_EQ(md.size(), grid.axes().front().size()) << column;
+    for (std::size_t i = 1; i < md.size(); ++i)
+      EXPECT_GE(md[i], md[i - 1])
+          << column << ": MD_overall falls from fault level "
+          << grid.axes().front().labels[i - 1] << " to "
+          << grid.axes().front().labels[i];
   }
 }
 

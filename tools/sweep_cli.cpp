@@ -1,7 +1,8 @@
 // sweep_cli — the front door of the sweep-harness result database
 // (dsrt::xp): run a manifest's grid (sharded, resumable), check the merged
 // artifacts against committed tolerance-banded expectations, bless new
-// expectations, and replay any single point bitwise from its seed.
+// expectations, replay any single point bitwise from its seed, and print
+// a manifest's figure/ablation tables.
 //
 //   sweep_cli list
 //   sweep_cli run <manifest> [--shards=I/N] [--out=DIR] [--resume]
@@ -10,6 +11,7 @@
 //   sweep_cli bless <manifest>... [--out=DIR] [--expectations=DIR]
 //   sweep_cli reproduce <manifest> <index> [--out=DIR] [--jobs=N]
 //                 [--metric=NAME]
+//   sweep_cli table <manifest>... [--horizon=T] [--reps=R] [--jobs=N]
 //
 // run writes <out>/<manifest>.shard-I-of-N.jsonl (one JSONL record per
 // completed point, flushed per point; --resume skips completed indices
@@ -19,7 +21,10 @@
 // within tolerance — exiting nonzero with a report naming each offending
 // (manifest, index, metric). reproduce re-runs one grid point from the
 // manifest definition and, when shard artifacts are present under --out,
-// asserts the exact metrics match the recorded values bitwise.
+// asserts the exact metrics match the recorded values bitwise. table runs
+// the whole grid in one engine sweep and prints the manifest's views; with
+// no overrides its cells are the values check verifies, and --horizon=1e6
+// gives the paper-scale tables.
 #include <cstdio>
 #include <exception>
 #include <string>
@@ -44,7 +49,16 @@ const char* kUsage =
     "  sweep_cli check <manifest>... [--out=DIR] [--expectations=DIR]\n"
     "  sweep_cli bless <manifest>... [--out=DIR] [--expectations=DIR]\n"
     "  sweep_cli reproduce <manifest> <index> [--out=DIR] [--jobs=N] "
-    "[--metric=NAME]\n";
+    "[--metric=NAME]\n"
+    "  sweep_cli table <manifest>... [--horizon=T] [--reps=R] [--jobs=N]\n";
+
+/// --jobs (default 1; 0 = one per hardware thread).
+std::size_t jobs_flag(const util::Flags& flags) {
+  const long jobs = flags.get("jobs", 1L);
+  if (jobs < 0)
+    throw std::invalid_argument("--jobs must be >= 0");
+  return static_cast<std::size_t>(jobs);
+}
 
 std::string labels_of(const xp::PointRecord& record) {
   std::string out;
@@ -56,7 +70,7 @@ std::string labels_of(const xp::PointRecord& record) {
 int cmd_list() {
   const xp::Registry& registry = xp::builtin_registry();
   for (const xp::Manifest& manifest : registry.all())
-    std::printf("%-18s %4zu points x %zu reps  %s\n", manifest.name.c_str(),
+    std::printf("%-24s %4zu points x %zu reps  %s\n", manifest.name.c_str(),
                 manifest.points(), manifest.replications,
                 manifest.description.c_str());
   return 0;
@@ -72,10 +86,7 @@ int cmd_run(const util::Flags& flags,
   xp::RunManifestOptions options;
   options.shard = xp::ShardSpec::parse(flags.get("shards", std::string("0/1")));
   options.out_dir = flags.get("out", std::string("."));
-  const long jobs = flags.get("jobs", 1L);
-  if (jobs < 0)
-    throw std::invalid_argument("--jobs must be >= 0");
-  options.jobs = static_cast<std::size_t>(jobs);
+  options.jobs = jobs_flag(flags);
   options.resume = flags.get("resume", false);
   engine::ensure_writable_dir(options.out_dir);
 
@@ -151,12 +162,8 @@ int cmd_reproduce(const util::Flags& flags,
   } catch (const std::exception&) {
     throw std::invalid_argument("bad point index '" + args[1] + "'");
   }
-  const long jobs = flags.get("jobs", 1L);
-  if (jobs < 0)
-    throw std::invalid_argument("--jobs must be >= 0");
-
-  const xp::PointRecord record = xp::reproduce_point(
-      manifest, index, static_cast<std::size_t>(jobs));
+  const xp::PointRecord record =
+      xp::reproduce_point(manifest, index, jobs_flag(flags));
 
   const std::string one_metric = flags.get("metric", std::string());
   if (!one_metric.empty()) {
@@ -211,6 +218,32 @@ int cmd_reproduce(const util::Flags& flags,
   return ok ? 0 : 1;
 }
 
+int cmd_table(const util::Flags& flags,
+              const std::vector<std::string>& args) {
+  if (args.empty()) {
+    std::fprintf(stderr, "table expects at least one manifest\n%s", kUsage);
+    return 2;
+  }
+  const std::size_t jobs = jobs_flag(flags);
+  for (const std::string& name : args) {
+    const xp::Manifest& manifest = xp::find_manifest(name);
+    system::Config base = manifest.base();
+    base.horizon = flags.get("horizon", base.horizon);
+    const long reps =
+        flags.get("reps", static_cast<long>(manifest.replications));
+    if (reps < 1) throw std::invalid_argument("--reps must be >= 1");
+    const xp::GridRun run = xp::run_grid(
+        manifest, base, static_cast<std::size_t>(reps), jobs);
+    std::printf("== %s ==\n%s\n%zu points x %ld reps, horizon %g, "
+                "%zu job(s): %.2fs\n\n%s",
+                manifest.name.c_str(), manifest.description.c_str(),
+                run.sweep.points.size(), reps, base.horizon, run.sweep.jobs,
+                run.sweep.wall_seconds,
+                xp::render_views(manifest, run).c_str());
+  }
+  return 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -229,6 +262,7 @@ int main(int argc, char** argv) {
     if (command == "check") return cmd_check(flags, args, /*bless=*/false);
     if (command == "bless") return cmd_check(flags, args, /*bless=*/true);
     if (command == "reproduce") return cmd_reproduce(flags, args);
+    if (command == "table") return cmd_table(flags, args);
     std::fprintf(stderr, "unknown command '%s'\n%s", command.c_str(),
                  kUsage);
     return 2;
