@@ -9,10 +9,12 @@
 //     a bucketed ladder (amortized O(1) inserts, small sorted front).
 //     Pop order is identical in every mode, so the trajectory — and every
 //     metric — is layout-invariant; only events/second moves.
-//   * placement — jsq-pex scans all k eligible nodes per decision (O(k));
-//     pod:d samples d of them (power-of-d-choices, O(d)) and takes the
-//     argmin. The sweep shows where pod's constant cost beats jsq's scan
-//     while staying close on MD.
+//   * placement — neither policy's cost grows with k: eligible sets are
+//     id intervals, decisions read a candidate view, jsq-pex answers from
+//     an O(log k) (min, count-of-minima) tournament tree over the load
+//     board, and pod:d samples d nodes by a sparse Fisher-Yates (O(d)).
+//     The sweep shows what exact jsq's index costs against pod's O(d)
+//     sample, and how close pod stays on MD.
 //   * memory — resident set per cell, to catch accidental O(k^2) tables.
 //
 // Per-point cost stays roughly flat: past k=24 the horizon shrinks ∝ 1/k

@@ -152,7 +152,7 @@ engine::BenchEntry task_churn(std::uint64_t tasks) {
 engine::BenchEntry task_churn_k1024(std::uint64_t tasks) {
   // The big-config flavor of task_churn: eligible-set leaves over k=1024
   // nodes, bound at stage-ready time by pod:2 over an exact load board.
-  // Covers the deferred-placement path (eligible-set pools, placement rng,
+  // Covers the deferred-placement path (interval eligible sets, placement rng,
   // O(d) sampling) at the scale the abl_scale bench runs end to end.
   sim::Rng rng(11);
   const auto exec_dist = sim::exponential(1.0);

@@ -6,6 +6,7 @@
 #include <span>
 #include <vector>
 
+#include "dsrt/core/eligible_set.hpp"
 #include "dsrt/core/strategy.hpp"
 #include "dsrt/core/task.hpp"
 #include "dsrt/core/task_spec.hpp"
@@ -40,8 +41,10 @@ enum class InstanceState : std::uint8_t { Running, Completed, Aborted };
 /// later stages — both phenomena discussed in Section 4.2.2.
 ///
 /// Storage mirrors the flat TaskSpec: one pre-order vertex array (same
-/// numbering as the spec) plus shared pools for child indices, eligible
-/// sets and the serial-suffix sums — no per-vertex heap blocks. Instances
+/// numbering as the spec) plus shared pools for child indices, explicit
+/// eligible lists and the serial-suffix sums — no per-vertex heap blocks.
+/// An interval eligible set stays (first, count) in its vertex, so neither
+/// reset() nor a placement decision touches O(k) memory. Instances
 /// are *recyclable*: `reset()` rebuilds the runtime state in place from a
 /// (possibly different) spec, reusing every buffer, so a pooled instance
 /// costs zero heap allocations per global task once warm. The process
@@ -143,12 +146,13 @@ class TaskInstance {
     std::uint32_t index_in_parent = 0;
     std::uint32_t child_begin = 0;  // into child_pool_ (groups)
     std::uint32_t child_count = 0;
-    std::uint32_t elig_begin = 0;   // into elig_pool_ (leaves)
+    std::uint32_t elig_first = 0;   // interval start, or into elig_pool_
     std::uint32_t elig_count = 0;   // 0 once placed (or bound)
     std::uint32_t orig_elig_count = 0;  // spec value; survives placement
     std::uint32_t suffix_begin = 0; // into suffix_pool_ (serial groups)
     NodeId node = 0;                // leaves only
     SpecKind kind = SpecKind::Simple;
+    bool elig_list = false;         // eligible set is an explicit list
     // Runtime state.
     sim::Time assigned_deadline = sim::kTimeInfinity;
     sim::Time activated_at = 0;
@@ -161,8 +165,12 @@ class TaskInstance {
   std::span<const std::uint32_t> children_of(const Vertex& vx) const {
     return {child_pool_.data() + vx.child_begin, vx.child_count};
   }
-  std::span<const NodeId> eligible_of(const Vertex& vx) const {
-    return {elig_pool_.data() + vx.elig_begin, vx.elig_count};
+  /// The leaf's eligible set as generated (also after placement).
+  EligibleSet eligible_of(const Vertex& vx) const {
+    return vx.elig_list
+               ? EligibleSet::list({elig_pool_.data() + vx.elig_first,
+                                    vx.orig_elig_count})
+               : EligibleSet::range(vx.elig_first, vx.orig_elig_count);
   }
 
   void activate(std::size_t v, sim::Time now, sim::Time deadline,
@@ -173,6 +181,9 @@ class TaskInstance {
   /// leaves), excluding `taken` nodes from the candidates.
   void place_leaf(std::size_t v, sim::Time now,
                   const std::vector<NodeId>& taken);
+  /// Fills place_skipped_ with the sorted, distinct positions of the
+  /// `taken` nodes inside `set` (the positions a candidate view skips).
+  void skip_taken(const EligibleSet& set, const std::vector<NodeId>& taken);
   /// Places every simple child of parallel group `v` on distinct nodes.
   void place_parallel_group(std::size_t v, sim::Time now);
   /// Queued-pex the subtree rooted at `v` is predicted to face (placed
@@ -194,10 +205,11 @@ class TaskInstance {
   bool downstream_aware_ = false;  ///< ssp consumes queued_downstream
   std::vector<Vertex> vertices_;          ///< pre-order, spec numbering
   std::vector<std::uint32_t> child_pool_; ///< per-group child vertex ids
-  std::vector<NodeId> elig_pool_;         ///< per-leaf eligible sets
+  std::vector<NodeId> elig_pool_;         ///< explicit eligible lists
   std::vector<double> suffix_pool_;       ///< per-serial-group pex suffixes
   std::vector<NodeId> place_taken_;       ///< scratch: group exclusions
-  std::vector<NodeId> place_candidates_;  ///< scratch: eligible minus taken
+  /// Scratch: eligible-set positions a candidate view skips.
+  std::vector<std::uint32_t> place_skipped_;
   InstanceState state_ = InstanceState::Completed;
   std::size_t outstanding_ = 0;
   bool started_ = false;

@@ -2,6 +2,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -32,6 +33,66 @@ struct NodeLoad {
   bool down = false;
 };
 
+/// Tournament tree over the jsq-pex placement keys of a LoadBoard: each
+/// leaf holds one node's key (+inf when the node is down, else its queued
+/// pex — the very double jsq-pex's scan compares), each inner vertex the
+/// minimum over its subtree and how many leaves attain it. One key write
+/// costs O(log k); the (min, count of minima) over an id range and the
+/// s-th minimum in node order cost O(log k) each — exact jsq with the
+/// scan's tie rotation, without reading every node.
+class BacklogIndex {
+ public:
+  /// Minimum key over a range and the number of nodes attaining it.
+  struct Min {
+    double key = std::numeric_limits<double>::infinity();
+    std::uint32_t count = 0;
+
+    /// The pair over the union of two disjoint ranges.
+    static Min merge(Min a, Min b) {
+      if (a.key < b.key) return a;
+      if (b.key < a.key) return b;
+      return {a.key, a.count + b.count};
+    }
+  };
+
+  /// Index over `keys` (one per node, node order).
+  explicit BacklogIndex(const std::vector<double>& keys);
+
+  std::size_t size() const { return size_; }
+
+  /// Replaces node `i`'s key. O(log k).
+  void set(std::size_t i, double key) {
+    std::size_t v = leaves_ + i;
+    key_[v] = key;
+    while (v > 1) {
+      v /= 2;
+      pull(v);
+    }
+  }
+
+  /// (min, count of minima) over nodes [lo, hi).
+  Min min_over(std::size_t lo, std::size_t hi) const;
+
+  /// The node of [lo, hi) holding the s-th (0-based, in node order) key
+  /// equal to `key`, which must be min_over(lo, hi).key with
+  /// s < min_over(lo, hi).count.
+  std::size_t nth_min(std::size_t lo, std::size_t hi, double key,
+                      std::size_t s) const;
+
+ private:
+  Min at(std::size_t v) const { return {key_[v], count_[v]}; }
+  void pull(std::size_t v) {
+    const Min m = Min::merge(at(2 * v), at(2 * v + 1));
+    key_[v] = m.key;
+    count_[v] = m.count;
+  }
+
+  std::size_t size_;
+  std::size_t leaves_;  ///< power of two >= size_; leaf i is vertex leaves_+i
+  std::vector<double> key_;            ///< per vertex; padding = (+inf, 0)
+  std::vector<std::uint32_t> count_;   ///< minima per subtree
+};
+
 /// Per-node load accounting slot, written by the owning `sched::Node` at
 /// submit/dispatch/dispose instants and read through a `LoadModel`. Kept in
 /// `core` so strategies can consume load without depending on `sched`.
@@ -47,11 +108,15 @@ class LoadAccount {
   void configure(double tau, sim::Time now);
 
   /// A job arrived at the node (enters queue or service).
-  void add_backlog(double pex) { backlog_ += pex; }
+  void add_backlog(double pex) {
+    backlog_ += pex;
+    publish();
+  }
   /// A job left the node (completed or aborted).
   void remove_backlog(double pex) {
     backlog_ -= pex;
     if (backlog_ < 0) backlog_ = 0;  // guard pex rounding drift
+    publish();
   }
   /// Mirrors the node's waiting-queue length.
   void set_queue_length(std::size_t n) {
@@ -62,21 +127,40 @@ class LoadAccount {
   void set_busy(sim::Time now, bool busy);
   /// Marks the node crashed / recovered (mirrors `sched::Node::fail` and
   /// `recover`).
-  void set_down(bool down) { down_ = down; }
+  void set_down(bool down) {
+    down_ = down;
+    publish();
+  }
 
   /// Current load with the EWMA decayed to `now`. Pure.
   NodeLoad read(sim::Time now) const;
 
+  /// The jsq-pex placement key: +inf when down, else the queued pex.
+  double pex_key() const {
+    return down_ ? std::numeric_limits<double>::infinity() : backlog_;
+  }
+
  private:
+  friend class LoadBoard;
+
   double ewma_at(sim::Time now) const;
+  /// Mirrors a key change into the board's index, once one was built.
+  void publish() {
+    if (index_) index_->set(slot_, pex_key());
+  }
 
   double backlog_ = 0;
-  std::uint32_t queue_length_ = 0;
-  bool down_ = false;
   double tau_ = 1;
   double util_ewma_ = 0;
-  bool busy_ = false;
   sim::Time last_update_ = 0;
+  /// The owning board's index and this account's leaf in it; attached by
+  /// LoadBoard::backlog_index (const, hence mutable: an observer hook,
+  /// not load state).
+  mutable BacklogIndex* index_ = nullptr;
+  mutable std::uint32_t slot_ = 0;
+  std::uint32_t queue_length_ = 0;
+  bool down_ = false;
+  bool busy_ = false;
 };
 
 /// Sharded board of per-node LoadAccounts. Accounts live in cache-line-
@@ -101,12 +185,8 @@ class LoadBoard {
 
   /// Grows the board to `n` accounts (shards are added, never moved, so
   /// existing account addresses survive; shrinking only lowers the
-  /// logical size).
-  void resize(std::size_t n) {
-    while (shards_.size() * kShardSize < n)
-      shards_.push_back(std::make_unique<Shard>());
-    size_ = n;
-  }
+  /// logical size). Drops the backlog index; the next query rebuilds it.
+  void resize(std::size_t n);
 
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
@@ -117,6 +197,11 @@ class LoadBoard {
   const LoadAccount& operator[](std::size_t i) const {
     return shards_[i / kShardSize]->slots[i % kShardSize];
   }
+
+  /// The jsq-pex index over every account, built on the first call (O(k))
+  /// and kept current by the accounts' own writes from then on. Runs that
+  /// never ask (static, pod, snapshot models) never pay for it.
+  const BacklogIndex& backlog_index() const;
 
   /// Invokes fn(index, account) for every account, shard block by shard
   /// block — the snapshot-refresh sweep, with the division/modulo of
@@ -137,8 +222,13 @@ class LoadBoard {
     LoadAccount slots[kShardSize];
   };
 
+  void detach_index();
+
   std::vector<std::unique_ptr<Shard>> shards_;
   std::size_t size_ = 0;
+  /// Built lazily by backlog_index(); mutable-in-const like the model read
+  /// counters (a board belongs to one single-threaded run).
+  mutable std::unique_ptr<BacklogIndex> index_;
 };
 
 /// System-state view offered to SSP/PSP strategies (the paper's Section 7
@@ -153,6 +243,10 @@ class LoadModel {
   /// Load of `node` as this model sees it at simulated time `now`.
   virtual NodeLoad load(NodeId node, sim::Time now) const = 0;
   virtual std::string_view name() const = 0;
+  /// The live jsq-pex index behind this model, when it has one whose keys
+  /// equal what load() reports right now; null (the default) otherwise.
+  /// jsq-pex answers an interval decision from it instead of scanning.
+  virtual const BacklogIndex* backlog_index() const { return nullptr; }
 };
 
 using LoadModelPtr = std::shared_ptr<const LoadModel>;
@@ -173,6 +267,9 @@ class ExactLoadModel final : public LoadModel {
       : accounts_(accounts) {}
   NodeLoad load(NodeId node, sim::Time now) const override;
   std::string_view name() const override { return "exact"; }
+  /// The board's index (built on the first call). Every call is one
+  /// index query and counts as one read.
+  const BacklogIndex* backlog_index() const override;
 
   /// Board reads served so far (obs probe; an oracle read is always age 0).
   std::uint64_t reads() const { return reads_; }

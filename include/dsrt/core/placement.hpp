@@ -7,6 +7,7 @@
 #include <string_view>
 #include <vector>
 
+#include "dsrt/core/eligible_set.hpp"
 #include "dsrt/core/strategy.hpp"
 #include "dsrt/core/task.hpp"
 #include "dsrt/sim/rng.hpp"
@@ -28,6 +29,94 @@ struct PlacementContext {
   /// placement returns it verbatim, which is what keeps a `static` run
   /// bit-for-bit identical to a build without the placement subsystem.
   NodeId hint = kNoNode;
+};
+
+/// The nodes one placement decision chooses among, as a view: a leaf's
+/// EligibleSet minus the positions (in eligible-set order) of the few
+/// nodes simple siblings of the same parallel group already took. Nothing
+/// is copied, so an interval candidate set over k nodes costs O(|taken|)
+/// to build and to index, not O(k).
+class Candidates {
+ public:
+  class iterator {
+   public:
+    using iterator_category = std::forward_iterator_tag;
+    using value_type = NodeId;
+    using difference_type = std::ptrdiff_t;
+    using pointer = void;
+    using reference = NodeId;
+
+    iterator() = default;
+    iterator(const Candidates& c, std::size_t pos, std::size_t skip)
+        : set_(c.set_), skipped_(c.skipped_), pos_(pos), skip_(skip) {
+      settle();
+    }
+    NodeId operator*() const { return set_[pos_]; }
+    iterator& operator++() {
+      ++pos_;
+      settle();
+      return *this;
+    }
+    iterator operator++(int) {
+      iterator old = *this;
+      ++*this;
+      return old;
+    }
+    bool operator==(const iterator& o) const { return pos_ == o.pos_; }
+    bool operator!=(const iterator& o) const { return pos_ != o.pos_; }
+
+   private:
+    /// Steps over skipped positions.
+    void settle() {
+      while (skip_ < skipped_.size() && skipped_[skip_] == pos_) {
+        ++pos_;
+        ++skip_;
+      }
+    }
+
+    EligibleSet set_;
+    std::span<const std::uint32_t> skipped_;
+    std::size_t pos_ = 0;
+    std::size_t skip_ = 0;
+  };
+
+  /// All of an explicit list (the span entry point of PlacementPolicy).
+  explicit Candidates(std::span<const NodeId> ids)
+      : set_(EligibleSet::list(ids)) {}
+  /// `set` minus the positions `skipped`: ascending, distinct, each below
+  /// set.size(). The span must outlive the view.
+  Candidates(EligibleSet set, std::span<const std::uint32_t> skipped)
+      : set_(set), skipped_(skipped) {}
+
+  std::size_t size() const { return set_.size() - skipped_.size(); }
+  bool empty() const { return size() == 0; }
+
+  /// The i-th candidate in eligible-set order, i < size(). O(|skipped|).
+  NodeId operator[](std::size_t i) const {
+    std::size_t pos = i;
+    for (const std::uint32_t p : skipped_) {
+      if (p > pos) break;
+      ++pos;
+    }
+    return set_[pos];
+  }
+  bool contains(NodeId node) const {
+    const std::size_t pos = set_.position(node);
+    if (pos == set_.size()) return false;
+    for (const std::uint32_t p : skipped_)
+      if (p == pos) return false;
+    return true;
+  }
+
+  const EligibleSet& eligible() const { return set_; }
+  std::span<const std::uint32_t> skipped() const { return skipped_; }
+
+  iterator begin() const { return iterator(*this, 0, 0); }
+  iterator end() const { return iterator(*this, set_.size(), 0); }
+
+ private:
+  EligibleSet set_;
+  std::span<const std::uint32_t> skipped_;
 };
 
 class PlacementPolicy;
@@ -61,6 +150,13 @@ class PlacementPolicy {
   /// group, in eligible-set order). Must return an element of `candidates`.
   virtual NodeId place(const PlacementContext& ctx,
                        std::span<const NodeId> candidates) const = 0;
+  /// The same decision over a candidate view — what the assigner calls.
+  /// The built-in policies implement only this (their span place() wraps
+  /// the span and forwards), so each has one algorithm. This default
+  /// copies the view into a scratch list and calls place(): it serves
+  /// decorators that override only the span entry, at O(candidates).
+  virtual NodeId place_among(const PlacementContext& ctx,
+                             const Candidates& candidates) const;
   virtual std::string_view name() const = 0;
 
   const PlacementCounters& counters() const { return counters_; }
@@ -72,6 +168,10 @@ class PlacementPolicy {
 
  protected:
   mutable PlacementCounters counters_;
+
+ private:
+  /// Scratch of the default place_among; grows to its high-water mark once.
+  mutable std::vector<NodeId> materialized_;
 };
 
 /// Seed-compatible placement: returns the generator's node draw (the
@@ -81,7 +181,11 @@ class PlacementPolicy {
 class StaticPlacement final : public PlacementPolicy {
  public:
   NodeId place(const PlacementContext& ctx,
-               std::span<const NodeId> candidates) const override;
+               std::span<const NodeId> candidates) const override {
+    return place_among(ctx, Candidates(candidates));
+  }
+  NodeId place_among(const PlacementContext& ctx,
+                     const Candidates& candidates) const override;
   std::string_view name() const override { return "static"; }
 };
 
@@ -95,6 +199,14 @@ class StaticPlacement final : public PlacementPolicy {
 /// 0. With no LoadModel wired every key is zero and the policy *is*
 /// round-robin — a useful placement baseline in its own right.
 ///
+/// Cost: `jsq-pex` over an interval candidate set, with a model that
+/// exposes a BacklogIndex (the exact model does), is O((|taken| + 1) log k)
+/// and one model read: (min, ties) over the interval minus the taken
+/// nodes, then the (seq % ties)-th minimum in node order — the scan's
+/// answer, counters and sequence step exactly. Everything else scans the
+/// candidates with one model read each (O(n)): `jsq-util`, sampled/stale
+/// and decorated models, explicit lists, and an all-down (+inf) minimum.
+///
 /// The counter is mutable-in-const for the same reason as AdaptiveDivX's
 /// adaptation state: policy handles are shared as pointers-to-const, but
 /// every simulation run constructs its own instance from the declarative
@@ -107,7 +219,11 @@ class JsqPlacement final : public PlacementPolicy {
   explicit JsqPlacement(Key key) : key_(key) {}
 
   NodeId place(const PlacementContext& ctx,
-               std::span<const NodeId> candidates) const override;
+               std::span<const NodeId> candidates) const override {
+    return place_among(ctx, Candidates(candidates));
+  }
+  NodeId place_among(const PlacementContext& ctx,
+                     const Candidates& candidates) const override;
   std::string_view name() const override {
     return key_ == Key::QueuedPex ? "jsq-pex" : "jsq-util";
   }
@@ -116,6 +232,10 @@ class JsqPlacement final : public PlacementPolicy {
   std::uint64_t decisions() const { return seq_; }
 
  private:
+  /// The index path; returns kNoNode when it does not apply.
+  NodeId place_indexed(const PlacementContext& ctx,
+                       const Candidates& candidates) const;
+
   Key key_;
   mutable std::uint64_t seq_ = 0;
   /// Scratch for one decision's candidate keys (board reads are not free —
@@ -127,17 +247,17 @@ class JsqPlacement final : public PlacementPolicy {
 /// Power-of-d-choices placement (Mitzenmacher's two-choices result, the
 /// standard scalable stand-in for full JSQ): sample d candidates without
 /// replacement from the eligible set and take the argmin queued-pex among
-/// them. O(d) per decision where full jsq is O(k) — the policy that
-/// survives thousands-of-nodes configurations.
+/// them. O(d) per decision (plus O(|taken|) per sampled candidate of a
+/// restricted view), whatever k is.
 ///
 /// Draw-order contract (pinned by tests, and what makes --jobs=1 equal
 /// --jobs=N): a decision over n candidates performs *exactly* d calls to
-/// `rng.below(n - j)` for j = 0..d-1 (a partial Fisher-Yates over an
-/// identity index scratch, un-swapped afterwards so the scratch is reused),
-/// and performs *zero* draws when n <= d (exhaustive argmin — narrow
-/// distinct-site leftovers never shift the stream consumed by wide
-/// decisions). Ties keep the first minimum in draw order: the sampling
-/// itself supplies the spread that jsq's tie rotation provides.
+/// `rng.below(n - j)` for j = 0..d-1 (a partial Fisher-Yates over the
+/// candidate positions that records only the d displaced ones,
+/// sim::SparseShuffle), and performs *zero* draws when n <= d (exhaustive
+/// argmin — narrow distinct-site leftovers never shift the stream consumed
+/// by wide decisions). Ties keep the first minimum in draw order: the
+/// sampling itself supplies the spread that jsq's tie rotation provides.
 ///
 /// The rng/scratch are mutable-in-const for the same reason as
 /// JsqPlacement's tie rotation: every run builds a fresh instance from the
@@ -145,22 +265,25 @@ class JsqPlacement final : public PlacementPolicy {
 /// kPlacementRngStream), and a run is single-threaded.
 class PodPlacement final : public PlacementPolicy {
  public:
-  PodPlacement(std::uint32_t d, sim::Rng rng) : d_(d), rng_(rng) {}
+  PodPlacement(std::uint32_t d, sim::Rng rng);
 
   NodeId place(const PlacementContext& ctx,
-               std::span<const NodeId> candidates) const override;
+               std::span<const NodeId> candidates) const override {
+    return place_among(ctx, Candidates(candidates));
+  }
+  NodeId place_among(const PlacementContext& ctx,
+                     const Candidates& candidates) const override;
   std::string_view name() const override { return "pod"; }
 
   std::uint32_t d() const { return d_; }
+  /// The sampling stream's current state; for tests.
+  const sim::Rng& rng() const { return rng_; }
 
  private:
   std::uint32_t d_;
   mutable sim::Rng rng_;
-  /// Identity permutation over the candidate indices; the partial
-  /// Fisher-Yates swaps into its prefix and is undone after every
-  /// decision, so the scratch is rebuilt only when the set size changes.
-  mutable std::vector<std::uint32_t> idx_;
-  mutable std::vector<std::uint32_t> drawn_;  ///< swap targets, to undo
+  /// The sparse shuffle's displaced-position table (O(d) words).
+  mutable std::vector<std::uint32_t> shuffle_table_;
 };
 
 /// Which placement policy a run should wire up.

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "dsrt/core/eligible_set.hpp"
 #include "dsrt/core/task.hpp"
 
 namespace dsrt::core {
@@ -15,9 +16,11 @@ enum class SpecKind : std::uint8_t { Simple, Serial, Parallel };
 
 /// One vertex of a flattened serial-parallel task tree. Vertices are stored
 /// in depth-first pre-order (vertex 0 is the root; every child has a larger
-/// index than its parent), children and eligible sets live in shared pools
-/// owned by the TaskSpec, and the Section 6 aggregates (predicted duration,
-/// critical path) are precomputed once when the spec is sealed.
+/// index than its parent), children live in a shared pool owned by the
+/// TaskSpec, and the Section 6 aggregates (predicted duration, critical
+/// path) are precomputed once when the spec is sealed. A placeable leaf's
+/// eligible set is an id interval stored in the vertex itself; only
+/// explicit id lists occupy the spec's eligible pool.
 struct SpecVertex {
   double exec = 0;           ///< leaves: real execution time
   double pex = 0;            ///< leaves: predicted execution time
@@ -27,10 +30,13 @@ struct SpecVertex {
   std::uint32_t index_in_parent = 0;
   std::uint32_t child_begin = 0;  ///< into TaskSpec child pool (groups)
   std::uint32_t child_count = 0;
-  std::uint32_t elig_begin = 0;   ///< into TaskSpec eligible pool (leaves)
+  /// Leaves: first node id of the eligible interval, or the offset into
+  /// the TaskSpec eligible pool when `elig_list` is set.
+  std::uint32_t elig_first = 0;
   std::uint32_t elig_count = 0;   ///< 0 = bound at generation time
   NodeId node = 0;                ///< leaves: execution node (or hint)
   SpecKind kind = SpecKind::Simple;
+  bool elig_list = false;         ///< eligible set is an explicit id list
 };
 
 class TaskSpec;
@@ -89,7 +95,9 @@ class SpecChildRange {
 /// behavior bit for bit.
 ///
 /// Storage is *flat*: one pre-order vertex table plus shared pools for
-/// child indices and eligible node sets. The static builders below compose
+/// child indices and explicit eligible id lists (an id interval lives in
+/// its vertex, so a generated spec's eligible pool stays empty however
+/// large k is). The static builders below compose
 /// specs tree-style (each call merges the children's tables — convenient
 /// for tests and examples); the arrival hot path instead refills one
 /// reusable TaskSpec in place through `TaskSpecBuilder`, which allocates
@@ -122,12 +130,16 @@ class TaskSpec {
   const SpecVertex& vertex(std::size_t v) const { return vertices_[v]; }
   std::span<const SpecVertex> vertices() const { return vertices_; }
   std::span<const std::uint32_t> child_pool() const { return child_pool_; }
+  /// Explicit eligible id lists only; interval sets live in the vertices.
   std::span<const NodeId> eligible_pool() const { return elig_pool_; }
   std::span<const std::uint32_t> children_of(const SpecVertex& vx) const {
     return {child_pool_.data() + vx.child_begin, vx.child_count};
   }
-  std::span<const NodeId> eligible_of(const SpecVertex& vx) const {
-    return {elig_pool_.data() + vx.elig_begin, vx.elig_count};
+  EligibleSet eligible_of(const SpecVertex& vx) const {
+    return vx.elig_list
+               ? EligibleSet::list({elig_pool_.data() + vx.elig_first,
+                                    vx.elig_count})
+               : EligibleSet::range(vx.elig_first, vx.elig_count);
   }
 
   /// Cursor over vertex `v` (tree-style navigation for tests/traces).
@@ -146,7 +158,7 @@ class TaskSpec {
 
   /// Nodes a placeable leaf may execute on; empty for bound leaves (and
   /// complex subtasks). The dispatch-time placement engine consults this.
-  std::span<const NodeId> eligible() const;
+  EligibleSet eligible() const;
   /// True when node binding is deferred to dispatch time.
   bool placeable() const { return !eligible().empty(); }
   /// Real execution time of a simple subtask. Requires is_simple().
@@ -188,7 +200,7 @@ class TaskSpec {
 
   std::vector<SpecVertex> vertices_;      ///< depth-first pre-order
   std::vector<std::uint32_t> child_pool_; ///< per-group child vertex ids
-  std::vector<NodeId> elig_pool_;         ///< per-leaf eligible node sets
+  std::vector<NodeId> elig_pool_;         ///< explicit eligible id lists
 };
 
 /// Read-only cursor over one vertex of a flat TaskSpec, presenting the same
@@ -207,7 +219,7 @@ class SpecView {
   NodeId node() const;
   double exec() const;
   double pex() const;
-  std::span<const NodeId> eligible() const { return spec_->eligible_of(vx()); }
+  EligibleSet eligible() const { return spec_->eligible_of(vx()); }
   bool placeable() const { return vx().elig_count != 0; }
   double predicted_duration() const { return vx().pred_duration; }
   double critical_path_exec() const { return vx().crit_exec; }
@@ -267,12 +279,19 @@ class TaskSpecBuilder {
   /// Appends a bound leaf.
   void leaf(NodeId node, double exec, double pex);
   /// Appends a placeable leaf whose eligible set is the contiguous id range
-  /// [first, first + count); `hint` must lie inside it.
+  /// [first, first + count), stored as that interval (O(1) however large
+  /// `count` is). `hint` must lie inside it, and first + count must not
+  /// pass kNoNode.
   void leaf_among(NodeId hint, NodeId first, std::uint32_t count, double exec,
                   double pex);
-  /// Appends a placeable leaf with an arbitrary eligible set (must be
-  /// non-empty and contain `hint`).
+  /// Appends a placeable leaf with an explicit eligible id list (non-empty,
+  /// duplicate-free, every id below kNoNode, containing `hint`), copied
+  /// into the spec's eligible pool.
   void leaf_among(NodeId hint, std::span<const NodeId> eligible, double exec,
+                  double pex);
+  /// Appends a placeable leaf with `eligible`, taken from another spec: an
+  /// interval stays an interval, a list is copied.
+  void leaf_among(NodeId hint, const EligibleSet& eligible, double exec,
                   double pex);
 
   /// Appends a copy of `sub` (all of it) as the next child of the innermost
@@ -290,6 +309,7 @@ class TaskSpecBuilder {
 
   TaskSpec* out_ = nullptr;
   std::vector<std::uint32_t> open_groups_;  ///< stack of open group ids
+  std::vector<NodeId> sorted_;  ///< scratch: duplicate check of a list
 };
 
 }  // namespace dsrt::core

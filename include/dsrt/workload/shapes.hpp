@@ -18,9 +18,11 @@ enum class GlobalShape : std::uint8_t {
 };
 
 /// Samples `count` distinct node ids from [0, nodes) into `out` (resized to
-/// `count`; no allocation once its capacity reached `nodes`). Requires
-/// count <= nodes. Partial Fisher-Yates; identical draw sequence to the
-/// returning overload below.
+/// `count`). Requires count <= nodes. Partial Fisher-Yates that stores only
+/// displaced positions (sim::SparseShuffle, in `out`'s own tail), so it
+/// costs O(count) whatever `nodes` is and allocates nothing once `out`
+/// held a few times `count`. Identical draw sequence to the returning
+/// overload below, and the same picks as a dense shuffle over all nodes.
 void sample_distinct_nodes_into(std::size_t nodes, std::size_t count,
                                 sim::Rng& rng,
                                 std::vector<core::NodeId>& out);

@@ -40,8 +40,10 @@ void TaskInstance::reset(TaskId id, const TaskSpec& spec, sim::Time arrival,
   started_ = false;
 
   // One pass over the flat spec: copy the structure (same pre-order
-  // numbering, shared pools copied wholesale) and reset the runtime fields.
-  // Every container reuses its capacity — zero allocations once warm.
+  // numbering, shared pools copied wholesale — the eligible pool holds only
+  // explicit lists, so an interval set of any width copies as two words)
+  // and reset the runtime fields. Every container reuses its capacity —
+  // zero allocations once warm.
   const std::span<const SpecVertex> sv = spec.vertices();
   vertices_.assign(sv.size(), Vertex{});
   const auto cp = spec.child_pool();
@@ -62,7 +64,8 @@ void TaskInstance::reset(TaskId id, const TaskSpec& spec, sim::Time arrival,
     if (s.kind == SpecKind::Simple) {
       vx.node = s.node;
       vx.exec = s.exec;
-      vx.elig_begin = s.elig_begin;
+      vx.elig_first = s.elig_first;
+      vx.elig_list = s.elig_list;
       vx.elig_count = s.elig_count;  // 0 = bound at generation time
       vx.orig_elig_count = s.elig_count;  // kept for fault retries
     } else if (s.kind == SpecKind::Serial) {
@@ -195,12 +198,10 @@ void TaskInstance::place_leaf(std::size_t v, sim::Time now,
     vx.elig_count = 0;
     return;
   }
-  place_candidates_.clear();
-  for (const NodeId node : eligible_of(vx)) {
-    if (std::find(taken.begin(), taken.end(), node) == taken.end())
-      place_candidates_.push_back(node);
-  }
-  if (place_candidates_.empty())
+  const EligibleSet eligible = eligible_of(vx);
+  skip_taken(eligible, taken);
+  const Candidates candidates(eligible, place_skipped_);
+  if (candidates.empty())
     throw std::logic_error(
         "TaskInstance: parallel group wider than its eligible node set");
   if (!taken.empty()) placement_->record_restricted();
@@ -208,8 +209,25 @@ void TaskInstance::place_leaf(std::size_t v, sim::Time now,
   ctx.now = now;
   ctx.load = load_model_;
   ctx.hint = vx.node;
-  vx.node = placement_->place(ctx, place_candidates_);
+  vx.node = placement_->place_among(ctx, candidates);
   vx.elig_count = 0;
+}
+
+void TaskInstance::skip_taken(const EligibleSet& set,
+                              const std::vector<NodeId>& taken) {
+  // |taken| is a parallel group's width, so the insertion sort is cheap;
+  // a hand-built group may pin two bound siblings to one node, hence the
+  // duplicate check.
+  place_skipped_.clear();
+  for (const NodeId node : taken) {
+    const std::size_t pos = set.position(node);
+    if (pos == set.size()) continue;
+    const auto p = static_cast<std::uint32_t>(pos);
+    auto it = place_skipped_.end();
+    while (it != place_skipped_.begin() && *(it - 1) > p) --it;
+    if (it != place_skipped_.begin() && *(it - 1) == p) continue;
+    place_skipped_.insert(it, p);
+  }
 }
 
 void TaskInstance::place_parallel_group(std::size_t v, sim::Time now) {
@@ -338,31 +356,32 @@ bool TaskInstance::resubmit_leaf(std::size_t leaf, sim::Time now,
       }
     }
   }
-  place_candidates_.clear();
   if (vx.orig_elig_count == 0) {
     // Generation-bound leaf: the only legal site is its own node (live
     // again after a recovery, or the crash raced a queued arrival).
-    if (live(vx.node)) place_candidates_.push_back(vx.node);
+    if (!live(vx.node)) return false;
   } else {
-    const std::span<const NodeId> eligible{elig_pool_.data() + vx.elig_begin,
-                                           vx.orig_elig_count};
-    for (const NodeId node : eligible) {
-      if (!live(node)) continue;
-      if (std::find(place_taken_.begin(), place_taken_.end(), node) !=
-          place_taken_.end())
-        continue;
-      place_candidates_.push_back(node);
+    // The original eligible set minus the dead and the taken nodes. The
+    // scan is O(k), but it runs only on a fault retry.
+    const EligibleSet eligible = eligible_of(vx);
+    place_skipped_.clear();
+    for (std::uint32_t pos = 0; pos < eligible.size(); ++pos) {
+      const NodeId node = eligible[pos];
+      if (!live(node) || std::find(place_taken_.begin(), place_taken_.end(),
+                                   node) != place_taken_.end())
+        place_skipped_.push_back(pos);
     }
-  }
-  if (place_candidates_.empty()) return false;  // nowhere live to go
-  if (placement_ && place_candidates_.size() > 1) {
-    PlacementContext ctx;
-    ctx.now = now;
-    ctx.load = load_model_;
-    ctx.hint = vx.node;
-    vx.node = placement_->place(ctx, place_candidates_);
-  } else {
-    vx.node = place_candidates_.front();
+    const Candidates candidates(eligible, place_skipped_);
+    if (candidates.empty()) return false;  // nowhere live to go
+    if (placement_ && candidates.size() > 1) {
+      PlacementContext ctx;
+      ctx.now = now;
+      ctx.load = load_model_;
+      ctx.hint = vx.node;
+      vx.node = placement_->place_among(ctx, candidates);
+    } else {
+      vx.node = candidates[0];
+    }
   }
   ++outstanding_;
   const std::size_t sibling_count =

@@ -1,12 +1,96 @@
 #include "dsrt/core/load_model.hpp"
 
 #include <cmath>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
 #include "dsrt/util/flags.hpp"
 
 namespace dsrt::core {
+
+BacklogIndex::BacklogIndex(const std::vector<double>& keys)
+    : size_(keys.size()), leaves_(1) {
+  while (leaves_ < size_) leaves_ *= 2;
+  key_.assign(2 * leaves_, std::numeric_limits<double>::infinity());
+  count_.assign(2 * leaves_, 0);
+  for (std::size_t i = 0; i < size_; ++i) {
+    key_[leaves_ + i] = keys[i];
+    count_[leaves_ + i] = 1;
+  }
+  for (std::size_t v = leaves_; v-- > 1;) pull(v);
+}
+
+BacklogIndex::Min BacklogIndex::min_over(std::size_t lo,
+                                         std::size_t hi) const {
+  Min acc;
+  for (std::size_t l = lo + leaves_, r = hi + leaves_; l < r; l /= 2, r /= 2) {
+    if (l & 1) acc = Min::merge(acc, at(l++));
+    if (r & 1) acc = Min::merge(acc, at(--r));
+  }
+  return acc;
+}
+
+std::size_t BacklogIndex::nth_min(std::size_t lo, std::size_t hi, double key,
+                                  std::size_t s) const {
+  // The canonical cover of [lo, hi): left-side vertices arrive in node
+  // order, right-side ones in reverse; at most one of each per level.
+  std::size_t left[64], right[64];
+  std::size_t nl = 0, nr = 0;
+  for (std::size_t l = lo + leaves_, r = hi + leaves_; l < r; l /= 2, r /= 2) {
+    if (l & 1) left[nl++] = l++;
+    if (r & 1) right[nr++] = --r;
+  }
+  const auto descend = [&](std::size_t v) {
+    while (v < leaves_) {
+      const std::size_t l = 2 * v;
+      if (key_[l] == key) {
+        if (s < count_[l]) {
+          v = l;
+          continue;
+        }
+        s -= count_[l];
+      }
+      v = l + 1;
+    }
+    return v - leaves_;
+  };
+  for (std::size_t i = 0; i < nl + nr; ++i) {
+    const std::size_t v = i < nl ? left[i] : right[nr - 1 - (i - nl)];
+    if (key_[v] != key) continue;
+    if (s < count_[v]) return descend(v);
+    s -= count_[v];
+  }
+  throw std::logic_error("BacklogIndex::nth_min: fewer minima than asked");
+}
+
+void LoadBoard::resize(std::size_t n) {
+  detach_index();
+  while (shards_.size() * kShardSize < n)
+    shards_.push_back(std::make_unique<Shard>());
+  size_ = n;
+}
+
+const BacklogIndex& LoadBoard::backlog_index() const {
+  if (!index_) {
+    std::vector<double> keys(size_);
+    for_each([&](std::size_t i, const LoadAccount& acct) {
+      keys[i] = acct.pex_key();
+    });
+    index_ = std::make_unique<BacklogIndex>(keys);
+    for_each([&](std::size_t i, const LoadAccount& acct) {
+      acct.index_ = index_.get();
+      acct.slot_ = static_cast<std::uint32_t>(i);
+    });
+  }
+  return *index_;
+}
+
+void LoadBoard::detach_index() {
+  if (!index_) return;
+  for_each([](std::size_t, const LoadAccount& acct) { acct.index_ = nullptr; });
+  index_.reset();
+}
 
 void LoadAccount::configure(double tau, sim::Time now) {
   if (tau <= 0) throw std::invalid_argument("LoadAccount: tau <= 0");
@@ -40,6 +124,11 @@ NodeLoad ExactLoadModel::load(NodeId node, sim::Time now) const {
   ++reads_;
   if (node >= accounts_.size()) return {};
   return accounts_[node].read(now);
+}
+
+const BacklogIndex* ExactLoadModel::backlog_index() const {
+  ++reads_;
+  return &accounts_.backlog_index();
 }
 
 SnapshotLoadModel::SnapshotLoadModel(const LoadBoard& accounts,

@@ -3,35 +3,41 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <numeric>
 #include <stdexcept>
 #include <utility>
 
 #include "dsrt/core/load_model.hpp"
+#include "dsrt/sim/sparse_shuffle.hpp"
 #include "dsrt/util/flags.hpp"
 
 namespace dsrt::core {
 
-NodeId StaticPlacement::place(const PlacementContext& ctx,
-                              std::span<const NodeId> candidates) const {
+NodeId PlacementPolicy::place_among(const PlacementContext& ctx,
+                                    const Candidates& candidates) const {
+  materialized_.assign(candidates.begin(), candidates.end());
+  return place(ctx, materialized_);
+}
+
+NodeId StaticPlacement::place_among(const PlacementContext& ctx,
+                                    const Candidates& candidates) const {
   if (candidates.empty())
     throw std::invalid_argument("StaticPlacement: empty candidate set");
   ++counters_.decisions;
-  if (std::find(candidates.begin(), candidates.end(), ctx.hint) !=
-      candidates.end())
-    return ctx.hint;
+  if (candidates.contains(ctx.hint)) return ctx.hint;
   ++counters_.hint_fallbacks;
-  return candidates.front();
+  return candidates[0];
 }
 
-NodeId JsqPlacement::place(const PlacementContext& ctx,
-                           std::span<const NodeId> candidates) const {
+NodeId JsqPlacement::place_among(const PlacementContext& ctx,
+                                 const Candidates& candidates) const {
   if (candidates.empty())
     throw std::invalid_argument("JsqPlacement: empty candidate set");
   ++counters_.decisions;
-  // One model read per candidate (each read decays an EWMA with an exp());
-  // the keys are kept in a high-water-reserved scratch so the tie-indexing
-  // pass below never re-queries the board.
+  if (const NodeId node = place_indexed(ctx, candidates); node != kNoNode)
+    return node;
+  // The scan, and the reference the index path reproduces. One model read
+  // per candidate; the keys are kept in a high-water-reserved scratch so
+  // the tie-indexing pass below never re-queries the board.
   keys_.clear();
   double best = 0;
   std::size_t ties = 0;
@@ -59,17 +65,64 @@ NodeId JsqPlacement::place(const PlacementContext& ctx,
   // and uniform over the tied set on an idle board.
   if (ties > 1) ++counters_.exact_ties;
   std::size_t skip = static_cast<std::size_t>(seq_++ % ties);
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    if (keys_[i] == best) {
-      if (skip == 0) return candidates[i];
+  std::size_t i = 0;
+  for (const NodeId node : candidates) {
+    if (keys_[i++] == best) {
+      if (skip == 0) return node;
       --skip;
     }
   }
-  return candidates.front();  // unreachable
+  return candidates[0];  // unreachable
 }
 
-NodeId PodPlacement::place(const PlacementContext& ctx,
-                           std::span<const NodeId> candidates) const {
+NodeId JsqPlacement::place_indexed(const PlacementContext& ctx,
+                                   const Candidates& candidates) const {
+  const EligibleSet& set = candidates.eligible();
+  if (key_ != Key::QueuedPex || !ctx.load || !set.is_range()) return kNoNode;
+  const BacklogIndex* index = ctx.load->backlog_index();
+  if (!index || std::size_t{set.first()} + set.size() > index->size())
+    return kNoNode;
+  // The interval minus the taken positions is a handful of sub-ranges;
+  // visit each as [lo, hi) in node order.
+  const auto for_each_piece = [&](auto&& fn) {
+    std::size_t lo = set.first();
+    for (const std::uint32_t p : candidates.skipped()) {
+      const std::size_t hi = std::size_t{set.first()} + p;
+      if (lo < hi) fn(lo, hi);
+      lo = hi + 1;
+    }
+    const std::size_t end = std::size_t{set.first()} + set.size();
+    if (lo < end) fn(lo, end);
+  };
+  BacklogIndex::Min best;
+  for_each_piece([&](std::size_t lo, std::size_t hi) {
+    best = BacklogIndex::Min::merge(best, index->min_over(lo, hi));
+  });
+  // Every candidate down: let the scan pick among the +inf keys.
+  if (best.key == std::numeric_limits<double>::infinity()) return kNoNode;
+  if (best.count > 1) ++counters_.exact_ties;
+  std::size_t skip = static_cast<std::size_t>(seq_++ % best.count);
+  NodeId chosen = kNoNode;
+  for_each_piece([&](std::size_t lo, std::size_t hi) {
+    if (chosen != kNoNode) return;
+    const BacklogIndex::Min m = index->min_over(lo, hi);
+    if (m.key != best.key) return;
+    if (skip < m.count) {
+      chosen = static_cast<NodeId>(index->nth_min(lo, hi, best.key, skip));
+    } else {
+      skip -= m.count;
+    }
+  });
+  return chosen;
+}
+
+PodPlacement::PodPlacement(std::uint32_t d, sim::Rng rng)
+    : d_(d),
+      rng_(rng),
+      shuffle_table_(sim::SparseShuffle::table_words(d)) {}
+
+NodeId PodPlacement::place_among(const PlacementContext& ctx,
+                                 const Candidates& candidates) const {
   if (candidates.empty())
     throw std::invalid_argument("PodPlacement: empty candidate set");
   ++counters_.decisions;
@@ -81,46 +134,10 @@ NodeId PodPlacement::place(const PlacementContext& ctx,
     return load.down ? std::numeric_limits<double>::infinity()
                      : load.queued_pex;
   };
-  if (n <= d_) {
-    // Exhaustive fallback: a set this small is cheaper to scan than to
-    // sample, and — per the documented draw-order contract — it consumes
-    // NO rng draws, so narrow distinct-site leftovers never shift the
-    // stream seen by the wide decisions around them.
-    NodeId best_node = candidates[0];
-    double best = key_of(best_node);
-    std::size_t ties = 1;
-    for (std::size_t i = 1; i < n; ++i) {
-      const double key = key_of(candidates[i]);
-      if (key < best) {
-        best = key;
-        best_node = candidates[i];
-        ties = 1;
-      } else if (key == best) {
-        ++ties;
-      }
-    }
-    if (ties > 1) ++counters_.exact_ties;
-    return best_node;
-  }
-  // Partial Fisher-Yates over the identity scratch: exactly d_ draws of
-  // rng.below(n - j), each picking one not-yet-sampled candidate uniformly
-  // (sampling without replacement). The prefix swaps are undone below, so
-  // idx_ stays the identity permutation and is rebuilt only when the
-  // candidate-set size changes.
-  if (idx_.size() != n) {
-    idx_.resize(n);
-    std::iota(idx_.begin(), idx_.end(), 0u);
-  }
-  drawn_.clear();
-  NodeId best_node = candidates[0];
+  NodeId best_node = kNoNode;
   double best = 0;
   std::size_t ties = 0;
-  for (std::uint32_t j = 0; j < d_; ++j) {
-    const std::uint32_t r =
-        j + static_cast<std::uint32_t>(rng_.below(n - j));
-    std::swap(idx_[j], idx_[r]);
-    drawn_.push_back(r);
-    const NodeId node = candidates[idx_[j]];
+  const auto consider = [&](NodeId node) {
     const double key = key_of(node);
     if (ties == 0 || key < best) {
       best = key;
@@ -131,9 +148,22 @@ NodeId PodPlacement::place(const PlacementContext& ctx,
       // provides the idle-board spread jsq gets from tie rotation.
       ++ties;
     }
+  };
+  if (n <= d_) {
+    // Exhaustive fallback: a set this small is cheaper to scan than to
+    // sample, and — per the documented draw-order contract — it consumes
+    // NO rng draws, so narrow distinct-site leftovers never shift the
+    // stream seen by the wide decisions around them.
+    for (const NodeId node : candidates) consider(node);
+  } else {
+    // Partial Fisher-Yates over the candidate positions: exactly d_ draws
+    // of rng.below(n - j), each picking one not-yet-sampled candidate
+    // uniformly (sampling without replacement).
+    sim::SparseShuffle shuffle(n, shuffle_table_);
+    for (std::uint32_t j = 0; j < d_; ++j)
+      consider(candidates[shuffle.next(rng_)]);
   }
   if (ties > 1) ++counters_.exact_ties;
-  for (std::uint32_t j = d_; j-- > 0;) std::swap(idx_[j], idx_[drawn_[j]]);
   return best_node;
 }
 

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "dsrt/core/strategy.hpp"
+
 namespace dsrt::core {
 
 namespace {
@@ -105,7 +107,7 @@ double TaskSpec::pex() const {
   return require_simple(root_vertex(), "TaskSpec::pex on complex task").pex;
 }
 
-std::span<const NodeId> TaskSpec::eligible() const {
+EligibleSet TaskSpec::eligible() const {
   return eligible_of(root_vertex());
 }
 
@@ -223,14 +225,16 @@ void TaskSpecBuilder::leaf_among(NodeId hint, NodeId first,
                                  std::uint32_t count, double exec,
                                  double pex) {
   if (count == 0) throw std::invalid_argument("TaskSpec: empty eligible set");
-  if (hint < first || hint >= first + count)
+  // Widened: first + count must not wrap, and every id stays below kNoNode.
+  const std::uint64_t end = std::uint64_t{first} + count;
+  if (end > kNoNode)
+    throw std::invalid_argument("TaskSpec: eligible range past the last id");
+  if (hint < first || hint >= end)
     throw std::invalid_argument("TaskSpec: hint outside the eligible set");
   leaf(hint, exec, pex);
   SpecVertex& vx = out_->vertices_.back();
-  vx.elig_begin = static_cast<std::uint32_t>(out_->elig_pool_.size());
+  vx.elig_first = first;
   vx.elig_count = count;
-  for (std::uint32_t i = 0; i < count; ++i)
-    out_->elig_pool_.push_back(first + i);
 }
 
 void TaskSpecBuilder::leaf_among(NodeId hint,
@@ -240,12 +244,29 @@ void TaskSpecBuilder::leaf_among(NodeId hint,
     throw std::invalid_argument("TaskSpec: empty eligible set");
   if (std::find(eligible.begin(), eligible.end(), hint) == eligible.end())
     throw std::invalid_argument("TaskSpec: hint outside the eligible set");
+  sorted_.assign(eligible.begin(), eligible.end());
+  std::sort(sorted_.begin(), sorted_.end());
+  if (std::adjacent_find(sorted_.begin(), sorted_.end()) != sorted_.end())
+    throw std::invalid_argument("TaskSpec: duplicate node in eligible set");
+  if (sorted_.back() >= kNoNode)
+    throw std::invalid_argument("TaskSpec: node id out of range");
   leaf(hint, exec, pex);
   SpecVertex& vx = out_->vertices_.back();
-  vx.elig_begin = static_cast<std::uint32_t>(out_->elig_pool_.size());
+  vx.elig_first = static_cast<std::uint32_t>(out_->elig_pool_.size());
   vx.elig_count = static_cast<std::uint32_t>(eligible.size());
+  vx.elig_list = true;
   out_->elig_pool_.insert(out_->elig_pool_.end(), eligible.begin(),
                           eligible.end());
+}
+
+void TaskSpecBuilder::leaf_among(NodeId hint, const EligibleSet& eligible,
+                                 double exec, double pex) {
+  if (eligible.is_range()) {
+    leaf_among(hint, eligible.first(),
+               static_cast<std::uint32_t>(eligible.size()), exec, pex);
+    return;
+  }
+  leaf_among(hint, eligible.list(), exec, pex);
 }
 
 void TaskSpecBuilder::append_subtree(const TaskSpec& sub) {
@@ -262,7 +283,7 @@ void TaskSpecBuilder::append_subtree(const TaskSpec& sub) {
                           sub.elig_pool_.end());
   for (std::size_t v = base; v < out_->vertices_.size(); ++v) {
     SpecVertex& vx = out_->vertices_[v];
-    vx.elig_begin += elig_base;
+    if (vx.elig_list) vx.elig_first += elig_base;
     if (vx.parent >= 0) {
       vx.parent += static_cast<std::int32_t>(base);
     } else if (!open_groups_.empty()) {

@@ -178,8 +178,8 @@ std::string cli_usage() {
       "                       = route each ready stage to the least-loaded\n"
       "                       eligible node via --load_model, pod[:d] =\n"
       "                       power-of-d-choices (d rng samples, argmin\n"
-      "                       queued pex; default d=2) — O(d) per decision\n"
-      "                       vs jsq's O(k) scan\n"
+      "                       queued pex; default d=2) — O(d) per decision;\n"
+      "                       jsq-pex over --load_model=exact is O(log k)\n"
       "  --event_queue=" + joined_names(sim::queue_mode_names()) + "\n"
       "                       pending-set layout (adaptive = sorted/heap/\n"
       "                       ladder by occupancy; forced modes for A/B).\n"

@@ -1,8 +1,11 @@
 #include "dsrt/workload/shapes.hpp"
 
-#include <numeric>
+#include <span>
 #include <stdexcept>
 #include <utility>
+
+#include "dsrt/core/strategy.hpp"
+#include "dsrt/sim/sparse_shuffle.hpp"
 
 namespace dsrt::workload {
 
@@ -12,13 +15,15 @@ void sample_distinct_nodes_into(std::size_t nodes, std::size_t count,
   if (count > nodes)
     throw std::invalid_argument(
         "sample_distinct_nodes: more subtasks than nodes");
-  out.resize(nodes);
-  std::iota(out.begin(), out.end(), core::NodeId{0});
-  // Partial Fisher-Yates: the first `count` entries become the sample.
-  for (std::size_t i = 0; i < count; ++i) {
-    const std::size_t j = i + static_cast<std::size_t>(rng.below(nodes - i));
-    std::swap(out[i], out[j]);
-  }
+  if (nodes > core::kNoNode)
+    throw std::invalid_argument("sample_distinct_nodes: too many nodes");
+  // Partial Fisher-Yates over [0, nodes) that records only the displaced
+  // positions: the sample goes to out[0, count), the shuffle's table
+  // borrows the space behind it, so the cost is O(count), not O(nodes).
+  out.resize(count + sim::SparseShuffle::table_words(count));
+  sim::SparseShuffle shuffle(
+      nodes, std::span<std::uint32_t>(out).subspan(count));
+  for (std::size_t i = 0; i < count; ++i) out[i] = shuffle.next(rng);
   out.resize(count);
 }
 
@@ -34,7 +39,7 @@ namespace {
 
 /// Emits one leaf with an optional deferred binding: the eligible set is
 /// the contiguous id range [lo, lo + count) — the compute nodes or the
-/// link nodes — appended to the spec's shared pool (no per-leaf vector).
+/// link nodes — stored as an interval in the leaf's vertex.
 /// The RNG consumption is identical for both arms — `node` was drawn by
 /// the caller either way — so flipping `defer` never perturbs the seed
 /// stream.

@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "dsrt/core/strategy.hpp"
 #include "dsrt/util/flags.hpp"
 
 namespace dsrt::workload {
@@ -57,21 +58,23 @@ void format_vertex(const core::TaskSpec& spec, const core::SpecView& v,
     out += hex_double(v.pex());
     out += '@';
     out += std::to_string(v.node());
-    const auto eligible = v.eligible();
+    const core::EligibleSet eligible = v.eligible();
     if (!eligible.empty()) {
-      // Contiguous ascending ranges (the common case: "any compute node")
-      // compress to {lo..hi}; anything else is written as an explicit list.
+      // Intervals (the common case: "any compute node") and contiguous
+      // ascending lists compress to {lo..hi}; anything else is written as
+      // an explicit list.
       bool contiguous = true;
-      for (std::size_t i = 1; i < eligible.size(); ++i)
+      for (std::size_t i = 1; !eligible.is_range() && i < eligible.size();
+           ++i)
         if (eligible[i] != eligible[i - 1] + 1) {
           contiguous = false;
           break;
         }
       out += '{';
       if (contiguous && eligible.size() > 1) {
-        out += std::to_string(eligible.front());
+        out += std::to_string(eligible[0]);
         out += "..";
-        out += std::to_string(eligible.back());
+        out += std::to_string(eligible[eligible.size() - 1]);
       } else {
         for (std::size_t i = 0; i < eligible.size(); ++i) {
           if (i > 0) out += '|';
@@ -165,14 +168,18 @@ class SpecParser {
 
   core::NodeId take_node(std::string_view delims) {
     const std::string t(take_until(delims));
+    long v = -1;
     try {
       std::size_t used = 0;
-      const long v = std::stol(t, &used);
-      if (used != t.size() || v < 0) throw std::invalid_argument(t);
-      return static_cast<core::NodeId>(v);
+      v = std::stol(t, &used);
+      if (used != t.size()) v = -1;
     } catch (const std::exception&) {
-      fail("bad node id '" + t + "'");
     }
+    if (v < 0) fail("bad node id '" + t + "'");
+    // Ids are 32-bit and kNoNode is reserved: never truncate into range.
+    if (static_cast<unsigned long>(v) >= core::kNoNode)
+      fail("node id '" + t + "' out of range");
+    return static_cast<core::NodeId>(v);
   }
 
   void parse_leaf() {

@@ -184,9 +184,10 @@ TEST(AllocSteadyState, AttachedObserversStayBounded) {
 }
 
 /// The big-config system: k=1024 nodes, forced-ladder event queue (~2050
-/// events stay pending, past the bucket threshold), pod:2 placement over
-/// an exact load board, deferred eligible-set specs. Hand-wired like
-/// Fig2System, mirroring SimulationRun's proportional reserves.
+/// events stay pending, past the bucket threshold), pod:2 (or another)
+/// placement over an exact load board, deferred eligible-set specs.
+/// Hand-wired like Fig2System, mirroring SimulationRun's proportional
+/// reserves.
 struct ScaleSystem {
   static constexpr std::size_t kNodes = 1024;
   static constexpr sim::Time kHorizon = 2000.0;
@@ -201,13 +202,13 @@ struct ScaleSystem {
   std::vector<std::unique_ptr<workload::LocalTaskSource>> locals;
   std::unique_ptr<workload::GlobalTaskSource> globals;
 
-  ScaleSystem() {
+  explicit ScaleSystem(const char* placement_name = "pod:2") {
     system::Config cfg = system::baseline_ssp();
     cfg.nodes = kNodes;
     // Before the first push: a forced layout applies from event one.
     sim.configure_queue(sim::QueueMode::Ladder, 2 * kNodes + 64);
-    placement = core::make_placement(core::PlacementSpec::parse("pod:2"),
-                                     cfg.seed);
+    placement = core::make_placement(
+        core::PlacementSpec::parse(placement_name), cfg.seed);
     for (std::size_t i = 0; i < kNodes; ++i) {
       nodes.push_back(std::make_unique<sched::Node>(
           static_cast<core::NodeId>(i), sim, cfg.policy, cfg.abort_policy,
@@ -238,7 +239,7 @@ struct ScaleSystem {
     params.exec = cfg.subtask_exec;
     params.slack = cfg.global_slack();
     params.pex_error = cfg.pex_error;
-    params.defer_placement = true;  // eligible-set leaves, bound by pod:2
+    params.defer_placement = true;  // eligible-set leaves, bound at dispatch
     globals = std::make_unique<workload::GlobalTaskSource>(
         sim, std::move(params), cfg.lambda_global(), sim::Rng(cfg.seed, 1),
         kHorizon, [this](const core::TaskSpec& spec, sim::Time deadline) {
@@ -269,7 +270,7 @@ TEST(AllocSteadyState, BigConfigLadderPodCycleAllocatesNothing) {
   ScaleSystem s;
 
   // Warm-up: ~250k local + ~18k global lifecycles push the ladder buckets,
-  // overflow/respill scratch, eligible-set pools, and every per-node queue
+  // overflow/respill scratch, the instance pool, and every per-node queue
   // past their high-water marks. Bucket-occupancy maxima creep slower than
   // pool peaks (the last capacity raise on this seed is an epoch re-seed
   // near t=750), hence the long warm-up relative to the fig2 test; the
@@ -292,6 +293,37 @@ TEST(AllocSteadyState, BigConfigLadderPodCycleAllocatesNothing) {
                         << allocs << " times over " << tasks
                         << " global tasks";
   EXPECT_EQ(frees, 0u) << "big-config steady-state cycle freed " << frees
+                       << " heap blocks over " << tasks << " global tasks";
+}
+
+TEST(AllocSteadyState, BigConfigLadderJsqPexCycleAllocatesNothing) {
+  // The exact-jsq twin of the pod cycle above: every global stage asks the
+  // board's backlog index. The index is built lazily by the first jsq-pex
+  // decision, inside the warm-up; from then on every backlog write updates
+  // it in place and every decision queries it, without the allocator.
+  ScaleSystem s("jsq-pex");
+  s.sim.run(800.0);
+  ASSERT_GT(s.metrics.global.generated, 10000u);
+  ASSERT_GT(s.model.reads(), 10000u);
+
+  const std::uint64_t allocs_before = dsrt::testing::allocation_count();
+  const std::uint64_t frees_before = dsrt::testing::deallocation_count();
+  const std::uint64_t tasks_before = s.metrics.global.generated;
+  const std::uint64_t reads_before = s.model.reads();
+  s.sim.run(1900.0);
+  const std::uint64_t allocs =
+      dsrt::testing::allocation_count() - allocs_before;
+  const std::uint64_t frees =
+      dsrt::testing::deallocation_count() - frees_before;
+  const std::uint64_t tasks = s.metrics.global.generated - tasks_before;
+
+  EXPECT_GT(tasks, 2000u);
+  // One index query per decision, not one read per node.
+  EXPECT_LT(s.model.reads() - reads_before, 8 * tasks);
+  EXPECT_EQ(allocs, 0u) << "jsq-pex steady-state cycle hit the allocator "
+                        << allocs << " times over " << tasks
+                        << " global tasks";
+  EXPECT_EQ(frees, 0u) << "jsq-pex steady-state cycle freed " << frees
                        << " heap blocks over " << tasks << " global tasks";
 }
 

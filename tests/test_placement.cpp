@@ -169,8 +169,7 @@ TEST(JsqPlacement, TiesRotateDeterministically) {
 
 TEST(PodPlacement, FollowsTheDocumentedDrawOrderExactly) {
   // The draw-order contract is API: exactly d calls to rng.below(n - j)
-  // (a partial Fisher-Yates over the identity permutation, undone after
-  // the decision), argmin queued-pex among the d sampled candidates with
+  // (a partial Fisher-Yates over the identity permutation), argmin queued-pex among the d sampled candidates with
   // first-in-draw-order winning ties. A mirror rng replays the documented
   // sequence and must predict every single decision.
   const FixedLoadModel model = backlogs({5.0, 1.0, 4.0, 2.0, 9.0, 0.5, 7.0,
@@ -249,6 +248,202 @@ TEST(PodPlacement, IdleBoardTiesKeepTheFirstSample) {
   EXPECT_THROW(policy.place(ctx, {}), std::invalid_argument);
 }
 
+// --- Candidate views against a materialized reference ---------------------
+
+/// Forwards load() only, like a tracing decorator: it exposes no index, so
+/// jsq-pex takes the scan even over an interval.
+class ForwardingLoadModel final : public LoadModel {
+ public:
+  explicit ForwardingLoadModel(const LoadModel& inner) : inner_(inner) {}
+  NodeLoad load(NodeId node, sim::Time now) const override {
+    return inner_.load(node, now);
+  }
+  std::string_view name() const override { return inner_.name(); }
+
+ private:
+  const LoadModel& inner_;
+};
+
+/// One random decision: a candidate view and its materialized twin.
+struct RandomDecision {
+  std::vector<NodeId> list;  ///< backing store of an explicit set
+  EligibleSet set;
+  std::vector<std::uint32_t> skipped;  ///< positions the view excludes
+  std::vector<NodeId> reference;       ///< set minus skipped, as a list
+  NodeId hint = 0;
+};
+
+RandomDecision random_decision(Rng& rng, std::size_t k) {
+  RandomDecision d;
+  if (rng.uniform01() < 0.7) {
+    // An interval; it may run a little past the board, whose missing
+    // nodes read as idle.
+    const auto first = static_cast<NodeId>(rng.below(k));
+    const auto count =
+        static_cast<std::uint32_t>(1 + rng.below(k + 4 - first));
+    d.set = EligibleSet::range(first, count);
+  } else {
+    d.list = workload::sample_distinct_nodes(
+        k, 1 + rng.below(std::min<std::size_t>(k, 24)), rng);
+    d.set = EligibleSet::list(d.list);
+  }
+  // Up to five taken positions, never the whole set.
+  const std::size_t max_taken = std::min<std::size_t>(5, d.set.size() - 1);
+  for (const NodeId p : workload::sample_distinct_nodes(
+           d.set.size(), rng.below(max_taken + 1), rng))
+    d.skipped.push_back(p);
+  std::sort(d.skipped.begin(), d.skipped.end());
+  for (std::uint32_t i = 0; i < d.set.size(); ++i)
+    if (!std::binary_search(d.skipped.begin(), d.skipped.end(), i))
+      d.reference.push_back(d.set[i]);
+  d.hint = rng.uniform01() < 0.8
+               ? d.set[rng.below(d.set.size())]
+               : static_cast<NodeId>(rng.below(k + 4));
+  return d;
+}
+
+/// Writes a few accounts, one kind of write each (so the index must follow
+/// every kind). Backlogs move in a few exact steps and removals clamp at
+/// zero, so exact ties and zeros abound; some nodes go down, and now and
+/// then the whole board does (the +inf minimum the index leaves to the
+/// scan).
+void scramble(LoadBoard& board, Rng& rng, sim::Time now) {
+  static constexpr double kSteps[] = {0.5, 1.0, 2.0};
+  if (rng.uniform01() < 0.03) {
+    for (std::size_t i = 0; i < board.size(); ++i) board[i].set_down(true);
+    return;
+  }
+  const std::size_t writes = 1 + rng.below(6);
+  for (std::size_t w = 0; w < writes; ++w) {
+    LoadAccount& acct = board[rng.below(board.size())];
+    const double step = kSteps[rng.below(3)];
+    switch (rng.below(4)) {
+      case 0: acct.add_backlog(step); break;
+      case 1:
+      case 2: acct.remove_backlog(step); break;
+      default: acct.set_down(rng.uniform01() < 0.3); break;
+    }
+    acct.set_busy(now, rng.uniform01() < 0.5);
+  }
+}
+
+void expect_same_state(const PlacementPolicy& view,
+                       const PlacementPolicy& ref) {
+  EXPECT_EQ(view.counters().decisions, ref.counters().decisions);
+  EXPECT_EQ(view.counters().exact_ties, ref.counters().exact_ties);
+  EXPECT_EQ(view.counters().hint_fallbacks, ref.counters().hint_fallbacks);
+  if (const auto* jsq = dynamic_cast<const JsqPlacement*>(&view))
+    EXPECT_EQ(jsq->decisions(),
+              dynamic_cast<const JsqPlacement&>(ref).decisions());
+  if (const auto* pod = dynamic_cast<const PodPlacement*>(&view)) {
+    Rng a = pod->rng();
+    Rng b = dynamic_cast<const PodPlacement&>(ref).rng();
+    for (int i = 0; i < 4; ++i) EXPECT_EQ(a(), b());
+  }
+}
+
+TEST(CandidateView, EveryPolicyMatchesTheMaterializedReference) {
+  // The view path (interval / list minus skipped positions; jsq-pex via the
+  // board's index when the model exposes one) must choose the node the
+  // plain span path chooses, and leave the same counters and rng state.
+  enum Model { kExact, kForwarding, kNone };
+  std::uint64_t indexed = 0;
+  for (const std::size_t k : {1u, 2u, 7u, 64u, 300u}) {
+    for (const char* name :
+         {"static", "jsq-pex", "jsq-util", "pod:1", "pod:2", "pod:3",
+          "pod:8"}) {
+      for (const Model variant : {kExact, kForwarding, kNone}) {
+        SCOPED_TRACE(std::string(name) + " k=" + std::to_string(k) +
+                     " model=" + std::to_string(variant));
+        Rng rng(k * 131 + variant);
+        LoadBoard board(k);
+        for (std::size_t i = 0; i < k; ++i) board[i].configure(5.0, 0.0);
+        const ExactLoadModel exact(board);
+        const ForwardingLoadModel forwarding(exact);
+        const LoadModel* model = nullptr;
+        if (variant == kExact) model = &exact;
+        if (variant == kForwarding) model = &forwarding;
+        const auto spec = PlacementSpec::parse(name);
+        const PlacementPolicyPtr view = make_placement(spec, 17);
+        const PlacementPolicyPtr ref = make_placement(spec, 17);
+        for (int step = 0; step < 400; ++step) {
+          const sim::Time now = step;
+          scramble(board, rng, now);
+          const RandomDecision d = random_decision(rng, k);
+          PlacementContext ctx;
+          ctx.now = now;
+          ctx.load = model;
+          ctx.hint = d.hint;
+          const std::uint64_t reads0 = exact.reads();
+          const NodeId got =
+              view->place_among(ctx, Candidates(d.set, d.skipped));
+          const std::uint64_t reads1 = exact.reads();
+          const NodeId want = ref->place(ctx, d.reference);
+          ASSERT_EQ(got, want) << "step " << step;
+          if (variant == kExact && reads1 - reads0 == 1 &&
+              exact.reads() - reads1 > 1)
+            ++indexed;
+          expect_same_state(*view, *ref);
+        }
+      }
+    }
+  }
+  // The index path really ran (jsq-pex over intervals of the exact model).
+  EXPECT_GT(indexed, 200u);
+}
+
+TEST(CandidateView, IndexesSkipAndContainPositions) {
+  const std::vector<std::uint32_t> skipped = {0, 2, 3};
+  const Candidates range(EligibleSet::range(10, 6), skipped);
+  EXPECT_EQ(range.size(), 3u);
+  EXPECT_EQ(std::vector<NodeId>(range.begin(), range.end()),
+            (std::vector<NodeId>{11, 14, 15}));
+  for (std::size_t i = 0; i < range.size(); ++i)
+    EXPECT_EQ(range[i], (std::vector<NodeId>{11, 14, 15})[i]);
+  EXPECT_TRUE(range.contains(14));
+  EXPECT_FALSE(range.contains(12));
+  EXPECT_FALSE(range.contains(16));
+  const std::vector<NodeId> ids = {8, 3, 5, 1};
+  const std::vector<std::uint32_t> skip_second = {1};
+  const Candidates list(EligibleSet::list(ids), skip_second);
+  EXPECT_EQ(std::vector<NodeId>(list.begin(), list.end()),
+            (std::vector<NodeId>{8, 5, 1}));
+  EXPECT_EQ(list[2], 1u);
+  EXPECT_FALSE(list.contains(3));
+  EXPECT_TRUE(list.contains(8));
+}
+
+/// Reference: a dense partial Fisher-Yates over an iota of all nodes.
+std::vector<NodeId> dense_sample(std::size_t nodes, std::size_t count,
+                                 Rng& rng) {
+  std::vector<NodeId> all(nodes);
+  for (std::size_t i = 0; i < nodes; ++i) all[i] = static_cast<NodeId>(i);
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::size_t j = i + static_cast<std::size_t>(rng.below(nodes - i));
+    std::swap(all[i], all[j]);
+  }
+  all.resize(count);
+  return all;
+}
+
+TEST(SampleDistinctNodes, SparseShuffleMatchesTheDenseReference) {
+  std::vector<NodeId> out;
+  for (const std::size_t nodes : {1u, 2u, 3u, 6u, 17u, 64u, 1000u, 4096u}) {
+    for (const std::size_t count :
+         {std::size_t{0}, std::size_t{1}, std::size_t{2}, std::size_t{5},
+          nodes / 2, nodes}) {
+      if (count > nodes) continue;
+      for (const std::uint64_t seed : {1ull, 9ull, 90210ull}) {
+        Rng sparse(seed), dense(seed);
+        workload::sample_distinct_nodes_into(nodes, count, sparse, out);
+        EXPECT_EQ(out, dense_sample(nodes, count, dense))
+            << nodes << " " << count << " " << seed;
+        EXPECT_EQ(sparse(), dense());  // the same draws were consumed
+      }
+    }
+  }
+}
+
 // --- TaskSpec eligible sets -----------------------------------------------
 
 TEST(TaskSpecPlacement, SimpleAmongValidatesAndPrints) {
@@ -272,7 +467,7 @@ TEST(TaskSpecPlacement, SimpleAmongValidatesAndPrints) {
 
 // --- Deferred generation: seed-stream equivalence -------------------------
 
-std::vector<NodeId> to_vec(std::span<const NodeId> s) {
+std::vector<NodeId> to_vec(const dsrt::core::EligibleSet& s) {
   return std::vector<NodeId>(s.begin(), s.end());
 }
 
@@ -419,6 +614,60 @@ TEST(TaskInstancePlacement, NoPolicyKeepsTheHint) {
   ASSERT_EQ(subs.size(), 2u);
   EXPECT_EQ(subs[0].node, 4u);
   EXPECT_EQ(subs[1].node, 2u);
+}
+
+// --- Costs that must not grow with k ----------------------------------------
+
+TEST(PlacementCost, DeferredK4096SpecsKeepAnEmptyEligiblePool) {
+  const auto dist = sim::exponential(1.0);
+  const auto pex = workload::make_perfect_prediction();
+  workload::SerialParallelShape shape;
+  shape.parallel_prob = 1.0;
+  shape.parallel_width = 8;
+  Rng rng(5);
+  const TaskSpec spec = workload::make_serial_parallel_task(
+      shape, 4096, *dist, *pex, rng, true);
+  EXPECT_TRUE(spec.eligible_pool().empty());
+  for (const SpecVertex& vx : spec.vertices()) {
+    if (vx.kind != SpecKind::Simple) continue;
+    EXPECT_TRUE(spec.eligible_of(vx).is_range());
+    EXPECT_EQ(spec.eligible_of(vx).size(), 4096u);
+  }
+}
+
+TEST(PlacementCost, ExactBoardReadsPerDecisionDoNotGrowWithK) {
+  // N decisions over all 4096 nodes of an exact board: jsq-pex asks its
+  // index once per decision, pod:2 reads its two samples.
+  constexpr std::size_t kNodes = 4096;
+  constexpr std::uint32_t kStages = 64;
+  LoadBoard board(kNodes);
+  Rng rng(3);
+  for (std::size_t i = 0; i < kNodes; ++i) {
+    board[i].configure(5.0, 0.0);
+    board[i].add_backlog(static_cast<double>(rng.below(4)));
+  }
+  const ExactLoadModel exact(board);
+  TaskSpec spec;
+  TaskSpecBuilder b;
+  b.reset(spec);
+  b.begin_serial();
+  for (std::uint32_t i = 0; i < kStages; ++i)
+    b.leaf_among(static_cast<NodeId>(i), 0, kNodes, 1.0, 1.0);
+  b.end();
+  b.finish();
+  for (const auto& [name, per_decision] :
+       {std::pair<const char*, std::uint64_t>{"jsq-pex", 1},
+        std::pair<const char*, std::uint64_t>{"pod:2", 2}}) {
+    SCOPED_TRACE(name);
+    const PlacementPolicyPtr policy =
+        make_placement(PlacementSpec::parse(name), 11);
+    TaskInstance inst(1, spec, 0.0, 1e9, make_ud(), make_parallel_ud(),
+                      &exact, policy.get());
+    const std::uint64_t before = exact.reads();
+    EXPECT_EQ(drain_instance(inst).size(), kStages);
+    EXPECT_EQ(exact.reads() - before, per_decision * kStages);
+    EXPECT_EQ(policy->counters().decisions, kStages);
+  }
 }
 
 // --- Fuzz: random trees x frozen load states ------------------------------
@@ -726,7 +975,7 @@ TEST(PlacementSystem, JsqBeatsStaticTowardSaturation) {
 TEST(PlacementSystem, PodBeatsStaticTowardSaturation) {
   // Mitzenmacher's two-choices property at test scale: sampling just d=2
   // queues captures most of jsq's miss-ratio gain over the static draw —
-  // at O(d) instead of O(k) per decision. Deterministic seeds; the
+  // at O(d) per decision, with no board index. Deterministic seeds; the
   // abl_scale bench explores the crossover at real k.
   system::Config cfg = system::baseline_ssp();
   cfg.horizon = 100000;

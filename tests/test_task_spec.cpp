@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
+#include "dsrt/core/strategy.hpp"
 #include "dsrt/core/task.hpp"
 #include "dsrt/core/task_spec.hpp"
 
@@ -124,6 +126,71 @@ TEST(TaskSpec, DeepNesting) {
   EXPECT_EQ(t.leaf_count(), 21u);
   EXPECT_EQ(t.depth(), 21u);
   EXPECT_DOUBLE_EQ(t.total_exec(), 21.0);
+}
+
+TEST(TaskSpecEligible, RangesAreIntervalsAndListsArePooled) {
+  TaskSpec spec;
+  TaskSpecBuilder b;
+  b.reset(spec);
+  b.begin_parallel();
+  b.leaf_among(5, 4, 4096, 1.0, 1.0);
+  const std::vector<NodeId> list = {9, 2, 7};
+  b.leaf_among(2, list, 1.0, 1.0);
+  b.end();
+  b.finish();
+  const EligibleSet range = spec.root().child(0).eligible();
+  EXPECT_TRUE(range.is_range());
+  EXPECT_EQ(range.size(), 4096u);
+  EXPECT_EQ(range[0], 4u);
+  EXPECT_EQ(range[4095], 4099u);
+  EXPECT_TRUE(range.contains(4099));
+  EXPECT_FALSE(range.contains(3));
+  EXPECT_FALSE(range.contains(4100));
+  // Only the explicit list occupies the pool, in its given order.
+  EXPECT_EQ(spec.eligible_pool().size(), 3u);
+  const EligibleSet pooled = spec.root().child(1).eligible();
+  EXPECT_FALSE(pooled.is_range());
+  EXPECT_EQ(std::vector<NodeId>(pooled.begin(), pooled.end()), list);
+  EXPECT_EQ(pooled.position(7), 2u);
+  EXPECT_EQ(pooled.position(8), 3u);
+
+  // Re-emitting through the EligibleSet overload keeps each form.
+  TaskSpec copy;
+  b.reset(copy);
+  b.begin_parallel();
+  b.leaf_among(5, range, 1.0, 1.0);
+  b.leaf_among(2, pooled, 1.0, 1.0);
+  b.end();
+  b.finish();
+  EXPECT_EQ(copy.to_string(), spec.to_string());
+  EXPECT_TRUE(copy.root().child(0).eligible().is_range());
+  EXPECT_EQ(copy.eligible_pool().size(), 3u);
+}
+
+TEST(TaskSpecEligible, RejectsDuplicatesOverflowAndReservedIds) {
+  TaskSpec spec;
+  TaskSpecBuilder b;
+  const auto attempt = [&](auto&& emit) {
+    b.reset(spec);
+    emit();
+  };
+  EXPECT_THROW(attempt([&] {
+                 b.leaf_among(1, std::vector<NodeId>{1, 1, 2}, 1.0, 1.0);
+               }),
+               std::invalid_argument);
+  EXPECT_THROW(attempt([&] {
+                 b.leaf_among(0, std::vector<NodeId>{0, kNoNode}, 1.0, 1.0);
+               }),
+               std::invalid_argument);
+  // first + count wraps past 2^32, or takes in the reserved kNoNode.
+  EXPECT_THROW(attempt([&] { b.leaf_among(10, 10, kNoNode, 1.0, 1.0); }),
+               std::invalid_argument);
+  EXPECT_THROW(attempt([&] { b.leaf_among(1, 1, kNoNode, 1.0, 1.0); }),
+               std::invalid_argument);
+  // The widest legal interval: every id below kNoNode.
+  attempt([&] { b.leaf_among(3, 0, kNoNode, 1.0, 1.0); });
+  b.finish();
+  EXPECT_EQ(spec.eligible().size(), std::size_t{kNoNode});
 }
 
 }  // namespace

@@ -67,6 +67,44 @@ TEST(TraceSpecGrammar, RejectsMalformedShapes) {
   }
 }
 
+// Node ids are 32-bit with kNoNode reserved: an id past that range, a
+// duplicate list entry, or a range whose size overflows must fail cleanly
+// instead of truncating into some other valid-looking spec.
+void expect_rejected(const char* text) {
+  core::TaskSpecBuilder builder;
+  core::TaskSpec out;
+  EXPECT_THROW(workload::parse_spec_into(text, builder, out),
+               std::invalid_argument)
+      << text;
+}
+
+TEST(TraceSpecGrammar, RejectsAHintPastTheIdRange) {
+  expect_rejected("0x1p+0/0x1p+0@4294967296");
+}
+
+TEST(TraceSpecGrammar, RejectsARangeHintPastTheIdRange) {
+  expect_rejected("0x1p+0/0x1p+0@4294967297{0..3}");
+}
+
+TEST(TraceSpecGrammar, RejectsDuplicatesInAnExplicitSet) {
+  expect_rejected("0x1p+0/0x1p+0@1{1|1|2}");
+}
+
+TEST(TraceSpecGrammar, RejectsARangeEndingAtTheReservedId) {
+  expect_rejected("0x1p+0/0x1p+0@0{0..4294967295}");
+}
+
+TEST(TraceSpecGrammar, TheWidestLegalRangeIsOneInterval) {
+  // Every id below kNoNode: stored as one interval, not 4 G pool entries.
+  core::TaskSpecBuilder builder;
+  core::TaskSpec out;
+  workload::parse_spec_into("0x1p+0/0x1p+0@7{0..4294967294}", builder, out);
+  EXPECT_EQ(out.eligible().size(), 4294967295u);
+  EXPECT_TRUE(out.eligible().is_range());
+  EXPECT_TRUE(out.eligible_pool().empty());
+  EXPECT_EQ(workload::format_spec(out), "0x1p+0/0x1p+0@7{0..4294967294}");
+}
+
 TEST(TraceFile, WriterLoadRoundTripIsExact) {
   const std::string path = temp_path("roundtrip.trace");
   {
