@@ -4,11 +4,12 @@
 // k=4096 and measures the three levers that make that tractable:
 //
 //   * event-queue layout — at k nodes the kernel keeps ~2k+2 events
-//     pending, so past the adaptive ladder threshold the pending set
-//     switches from a d-ary heap (O(log n) per op over one big array) to
-//     a bucketed ladder (amortized O(1) inserts, small sorted front).
-//     Pop order is identical in every mode, so the trajectory — and every
-//     metric — is layout-invariant; only events/second moves.
+//     pending, so every k here runs the adaptive queue's ladder tier
+//     (amortized O(1) inserts, small sorted front) rather than its sorted
+//     array; the big configs also run a forced d-ary heap (O(log n) per
+//     op over one big array) as the A/B partner. Pop order is identical
+//     in every mode, so the trajectory — and every metric — is
+//     layout-invariant; only events/second moves.
 //   * placement — neither policy's cost grows with k: eligible sets are
 //     id intervals, decisions read a candidate view, jsq-pex answers from
 //     an O(log k) (min, count-of-minima) tournament tree over the load
@@ -103,8 +104,8 @@ int main(int argc, char** argv) {
   std::vector<dsrt::engine::BenchEntry> entries;
   for (std::size_t k : ks) {
     for (const PlacementCase& pc : cases) {
-      // The layout A/B only becomes interesting once the pending set is
-      // past the ladder threshold; smaller k stay heap-tier either way.
+      // The layout A/B (ladder vs forced heap) is run where the pending
+      // set is deep enough for the heap's O(log n) to show.
       std::vector<const char*> modes = {"adaptive"};
       if (k >= 1024) modes.push_back("heap");
       for (const char* mode : modes) {

@@ -5,9 +5,13 @@
 // performance trajectory of the kernel.
 //
 // Benchmarks:
-//   event_queue_churn_<d>   push/pop churn of the pending-event set at
-//                           steady depth d (32 = sorted mode, 64/1024 =
-//                           just past the boundary / deep 4-ary heap mode)
+//   event_queue_hold_<d>    hold model of the pending-event set (Jones,
+//                           CACM 1986): pop the earliest event, push one
+//                           at its time + Exp(mean d), at steady depth d
+//                           (32/64 = sorted tier, 1024/8192 = ladder; the
+//                           `_heap` entries are forced-heap A/B partners)
+//   backlog_index_k1024     exact jsq-pex over a k=1024 load board: eight
+//                           backlog writes per indexed placement query
 //   node_cycle              Node submit -> dispatch -> complete cycle
 //                           through the flat ready queue (EDF, no abort)
 //   task_churn              task-layer lifecycle with no nodes: flat-spec
@@ -60,11 +64,11 @@ double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-engine::BenchEntry churn(std::size_t depth, std::uint64_t iters,
-                         sim::QueueMode mode = sim::QueueMode::Adaptive) {
+engine::BenchEntry hold(std::size_t depth, std::uint64_t iters,
+                        sim::QueueMode mode = sim::QueueMode::Adaptive) {
   sim::Rng rng(42);
   sim::EventQueue q;
-  std::string name = "event_queue_churn_" + std::to_string(depth);
+  std::string name = "event_queue_hold_" + std::to_string(depth);
   if (mode != sim::QueueMode::Adaptive) {
     // Forced layout: the A/B partner of the adaptive entry at the same
     // depth (e.g. ladder-vs-heap at 8192 pending).
@@ -72,19 +76,62 @@ engine::BenchEntry churn(std::size_t depth, std::uint64_t iters,
     name += '_';
     name += sim::queue_mode_name(mode);
   }
+  // Mean offset = depth: about one pending event per unit of time, so the
+  // offsets land anywhere in the pending set, as completions and arrival
+  // timers do in a run.
+  const double mean = static_cast<double>(depth);
   std::uint64_t fired = 0;
   for (std::size_t i = 0; i < depth; ++i)
-    q.push(rng.uniform01(), [&fired] { ++fired; });
-  double t = 1.0;
+    q.push(rng.exponential(mean), [&fired] { ++fired; });
   const auto t0 = Clock::now();
   for (std::uint64_t i = 0; i < iters; ++i) {
-    q.push(t, [&fired] { ++fired; });
-    t += 1e-9;
+    const sim::Time now = q.next_time();
     q.pop()();
+    q.push(now + rng.exponential(mean), [&fired] { ++fired; });
   }
   const double s = seconds_since(t0);
   if (fired != iters) std::abort();  // exactly one action fires per pop
   return {std::move(name), "events", static_cast<double>(iters), s};
+}
+
+engine::BenchEntry backlog_index_k1024(std::uint64_t queries) {
+  // Exact jsq-pex decisions over a k=1024 board, with the backlog writes a
+  // serial-parallel run issues per decision (about eight: the chosen
+  // node's add plus the submits and completions elsewhere). Covers both
+  // halves of the indexed path: the in-place key writes and the
+  // per-decision (min, count) reads over a range minus taken positions.
+  constexpr std::size_t kNodes = 1024;
+  constexpr int kWritesPerQuery = 8;
+  sim::Rng rng(13);
+  core::LoadBoard board(kNodes);
+  for (std::size_t i = 0; i < kNodes; ++i) board[i].configure(20.0, 0.0);
+  core::ExactLoadModel model(board);
+  const auto placement =
+      core::make_placement(core::PlacementSpec::parse("jsq-pex"), 99);
+  core::PlacementContext ctx;
+  ctx.load = &model;
+  const core::EligibleSet all = core::EligibleSet::range(0, kNodes);
+  // Two sibling sites already taken, as in a distinct-site parallel group.
+  const std::uint32_t taken[] = {100, 700};
+  const core::Candidates candidates(all, taken);
+  std::uint64_t picked = 0;
+  const auto t0 = Clock::now();
+  for (std::uint64_t q = 0; q < queries; ++q) {
+    const core::NodeId node = placement->place_among(ctx, candidates);
+    picked += node;
+    board[node].add_backlog(rng.exponential(1.0));
+    for (int w = 1; w < kWritesPerQuery; ++w) {
+      core::LoadAccount& acct = board[rng.below(kNodes)];
+      if (rng.uniform01() < 0.5) {
+        acct.add_backlog(rng.exponential(1.0));
+      } else {
+        acct.remove_backlog(rng.exponential(1.0));
+      }
+    }
+  }
+  const double s = seconds_since(t0);
+  if (picked == 0) std::abort();  // keep the decisions observable
+  return {"backlog_index_k1024", "queries", static_cast<double>(queries), s};
 }
 
 engine::BenchEntry node_cycle(std::uint64_t jobs) {
@@ -252,14 +299,16 @@ int main(int argc, char** argv) {
   const std::uint64_t scale = quick ? 1 : 8;
 
   std::vector<engine::BenchEntry> entries;
-  entries.push_back(churn(32, 500000 * scale));
-  entries.push_back(churn(64, 500000 * scale));
-  entries.push_back(churn(1024, 500000 * scale));
-  // 8192 pending is past the adaptive ladder threshold: the first entry
-  // churns the bucketed ladder, the forced-heap one is its A/B partner on
-  // the identical sequence (same pops either way).
-  entries.push_back(churn(8192, 500000 * scale));
-  entries.push_back(churn(8192, 500000 * scale, sim::QueueMode::Heap));
+  entries.push_back(hold(32, 500000 * scale));
+  entries.push_back(hold(64, 500000 * scale));
+  // 1024 and 8192 pending are ladder depths: each forced-heap entry is the
+  // A/B partner of the adaptive one on the identical sequence (same pops
+  // either way).
+  entries.push_back(hold(1024, 500000 * scale));
+  entries.push_back(hold(1024, 500000 * scale, sim::QueueMode::Heap));
+  entries.push_back(hold(8192, 500000 * scale));
+  entries.push_back(hold(8192, 500000 * scale, sim::QueueMode::Heap));
+  entries.push_back(backlog_index_k1024(250000 * scale));
   entries.push_back(node_cycle(125000 * scale));
   entries.push_back(task_churn(125000 * scale));
   entries.push_back(task_churn_k1024(25000 * scale));

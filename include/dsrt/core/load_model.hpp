@@ -36,10 +36,13 @@ struct NodeLoad {
 /// Tournament tree over the jsq-pex placement keys of a LoadBoard: each
 /// leaf holds one node's key (+inf when the node is down, else its queued
 /// pex — the very double jsq-pex's scan compares), each inner vertex the
-/// minimum over its subtree and how many leaves attain it. One key write
-/// costs O(log k); the (min, count of minima) over an id range and the
-/// s-th minimum in node order cost O(log k) each — exact jsq with the
-/// scan's tie rotation, without reading every node.
+/// minimum over its subtree and how many leaves attain it, in one 16-byte
+/// record per vertex. A key write re-pulls ancestors only until the first
+/// one whose (min, count) stays the same — O(log k) at worst, and usually
+/// a few levels, since most writes leave a subtree's minimum where it is.
+/// The (min, count of minima) over an id range and the s-th minimum in
+/// node order cost O(log k) each — exact jsq with the scan's tie rotation,
+/// without reading every node.
 class BacklogIndex {
  public:
   /// Minimum key over a range and the number of nodes attaining it.
@@ -60,13 +63,16 @@ class BacklogIndex {
 
   std::size_t size() const { return size_; }
 
-  /// Replaces node `i`'s key. O(log k).
+  /// Replaces node `i`'s key. Stops at the first ancestor whose pair did
+  /// not change: every vertex above it is a function of unchanged pairs.
   void set(std::size_t i, double key) {
     std::size_t v = leaves_ + i;
-    key_[v] = key;
+    tree_[v].key = key;
     while (v > 1) {
       v /= 2;
-      pull(v);
+      const Min m = Min::merge(tree_[2 * v], tree_[2 * v + 1]);
+      if (m.key == tree_[v].key && m.count == tree_[v].count) return;
+      tree_[v] = m;
     }
   }
 
@@ -79,18 +85,14 @@ class BacklogIndex {
   std::size_t nth_min(std::size_t lo, std::size_t hi, double key,
                       std::size_t s) const;
 
- private:
-  Min at(std::size_t v) const { return {key_[v], count_[v]}; }
-  void pull(std::size_t v) {
-    const Min m = Min::merge(at(2 * v), at(2 * v + 1));
-    key_[v] = m.key;
-    count_[v] = m.count;
-  }
+  /// Vertex `v`'s (min, count); the root is 1 and leaf i is leaves() + i.
+  Min vertex(std::size_t v) const { return tree_[v]; }
+  std::size_t leaves() const { return leaves_; }
 
+ private:
   std::size_t size_;
   std::size_t leaves_;  ///< power of two >= size_; leaf i is vertex leaves_+i
-  std::vector<double> key_;            ///< per vertex; padding = (+inf, 0)
-  std::vector<std::uint32_t> count_;   ///< minima per subtree
+  std::vector<Min> tree_;  ///< per vertex; padding leaves = (+inf, 0)
 };
 
 /// Per-node load accounting slot, written by the owning `sched::Node` at

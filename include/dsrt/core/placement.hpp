@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "dsrt/core/eligible_set.hpp"
+#include "dsrt/core/load_model.hpp"
 #include "dsrt/core/strategy.hpp"
 #include "dsrt/core/task.hpp"
 #include "dsrt/sim/rng.hpp"
@@ -242,6 +243,8 @@ class JsqPlacement final : public PlacementPolicy {
   /// each decays an EWMA); grows to its high-water mark once. Same
   /// mutable-in-const rationale as seq_.
   mutable std::vector<double> keys_;
+  /// Scratch for place_indexed's per-piece (min, count) pairs.
+  mutable std::vector<BacklogIndex::Min> piece_mins_;
 };
 
 /// Power-of-d-choices placement (Mitzenmacher's two-choices result, the

@@ -56,7 +56,7 @@ struct Config {
   /// round-robin).
   core::PlacementSpec placement;
   /// Layout discipline of the pending-event set. `Adaptive` (default)
-  /// graduates sorted -> 4-ary heap -> ladder/calendar queue as the
+  /// graduates from a sorted array to a ladder/calendar queue as the
   /// pending count grows; the forced values pin one layout for A/B
   /// benchmarks and differential tests. Every mode pops the identical
   /// (time, seq) order, so this can never change a trajectory — only its

@@ -12,21 +12,18 @@ namespace dsrt::core {
 BacklogIndex::BacklogIndex(const std::vector<double>& keys)
     : size_(keys.size()), leaves_(1) {
   while (leaves_ < size_) leaves_ *= 2;
-  key_.assign(2 * leaves_, std::numeric_limits<double>::infinity());
-  count_.assign(2 * leaves_, 0);
-  for (std::size_t i = 0; i < size_; ++i) {
-    key_[leaves_ + i] = keys[i];
-    count_[leaves_ + i] = 1;
-  }
-  for (std::size_t v = leaves_; v-- > 1;) pull(v);
+  tree_.assign(2 * leaves_, Min{});
+  for (std::size_t i = 0; i < size_; ++i) tree_[leaves_ + i] = {keys[i], 1};
+  for (std::size_t v = leaves_; v-- > 1;)
+    tree_[v] = Min::merge(tree_[2 * v], tree_[2 * v + 1]);
 }
 
 BacklogIndex::Min BacklogIndex::min_over(std::size_t lo,
                                          std::size_t hi) const {
   Min acc;
   for (std::size_t l = lo + leaves_, r = hi + leaves_; l < r; l /= 2, r /= 2) {
-    if (l & 1) acc = Min::merge(acc, at(l++));
-    if (r & 1) acc = Min::merge(acc, at(--r));
+    if (l & 1) acc = Min::merge(acc, tree_[l++]);
+    if (r & 1) acc = Min::merge(acc, tree_[--r]);
   }
   return acc;
 }
@@ -44,12 +41,12 @@ std::size_t BacklogIndex::nth_min(std::size_t lo, std::size_t hi, double key,
   const auto descend = [&](std::size_t v) {
     while (v < leaves_) {
       const std::size_t l = 2 * v;
-      if (key_[l] == key) {
-        if (s < count_[l]) {
+      if (tree_[l].key == key) {
+        if (s < tree_[l].count) {
           v = l;
           continue;
         }
-        s -= count_[l];
+        s -= tree_[l].count;
       }
       v = l + 1;
     }
@@ -57,9 +54,9 @@ std::size_t BacklogIndex::nth_min(std::size_t lo, std::size_t hi, double key,
   };
   for (std::size_t i = 0; i < nl + nr; ++i) {
     const std::size_t v = i < nl ? left[i] : right[nr - 1 - (i - nl)];
-    if (key_[v] != key) continue;
-    if (s < count_[v]) return descend(v);
-    s -= count_[v];
+    if (tree_[v].key != key) continue;
+    if (s < tree_[v].count) return descend(v);
+    s -= tree_[v].count;
   }
   throw std::logic_error("BacklogIndex::nth_min: fewer minima than asked");
 }

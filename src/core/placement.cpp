@@ -94,19 +94,23 @@ NodeId JsqPlacement::place_indexed(const PlacementContext& ctx,
     const std::size_t end = std::size_t{set.first()} + set.size();
     if (lo < end) fn(lo, end);
   };
+  // Each piece's (min, count) is read from the index once; the second
+  // walk finds the piece holding the rotated minimum from the stored pairs.
+  piece_mins_.clear();
   BacklogIndex::Min best;
   for_each_piece([&](std::size_t lo, std::size_t hi) {
-    best = BacklogIndex::Min::merge(best, index->min_over(lo, hi));
+    piece_mins_.push_back(index->min_over(lo, hi));
+    best = BacklogIndex::Min::merge(best, piece_mins_.back());
   });
   // Every candidate down: let the scan pick among the +inf keys.
   if (best.key == std::numeric_limits<double>::infinity()) return kNoNode;
   if (best.count > 1) ++counters_.exact_ties;
   std::size_t skip = static_cast<std::size_t>(seq_++ % best.count);
   NodeId chosen = kNoNode;
+  std::size_t piece = 0;
   for_each_piece([&](std::size_t lo, std::size_t hi) {
-    if (chosen != kNoNode) return;
-    const BacklogIndex::Min m = index->min_over(lo, hi);
-    if (m.key != best.key) return;
+    const BacklogIndex::Min m = piece_mins_[piece++];
+    if (chosen != kNoNode || m.key != best.key) return;
     if (skip < m.count) {
       chosen = static_cast<NodeId>(index->nth_min(lo, hi, best.key, skip));
     } else {

@@ -81,59 +81,48 @@ void EventQueue::set_mode(QueueMode mode) {
 
 void EventQueue::reserve(std::size_t expected_pending) {
   const std::size_t n = std::max(expected_pending, kReserve);
-  heap_.reserve(n);
+  entries_.reserve(n);
   slots_.reserve(n);
   free_.reserve(n);
-  // Remembered for enter_ladder: the catch-all bucket, overflow, and
-  // re-seed scratch can each briefly hold the whole pending set, so they
-  // size to this hint rather than to the (smaller) depth at entry.
-  ladder_reserve_ = std::max(ladder_reserve_, n);
 }
 
 std::size_t EventQueue::sorted_limit() const {
-  switch (mode_) {
-    case QueueMode::Sorted: return static_cast<std::size_t>(-1);
-    case QueueMode::Heap: return 0;
-    default: return kArrayMax;
-  }
+  return mode_ == QueueMode::Sorted ? static_cast<std::size_t>(-1)
+                                    : kArrayMax;
 }
 
-std::size_t EventQueue::ladder_limit() const {
-  switch (mode_) {
-    case QueueMode::Adaptive: return kLadderHigh;
-    case QueueMode::Ladder: return kArrayMax;  // straight from sorted
-    default: return static_cast<std::size_t>(-1);
-  }
-}
-
-void EventQueue::insert_sorted(const Entry& entry) {
+// Forced inline: with the ladder front as a second caller the compiler
+// would otherwise call out of line from the sorted tier's push, the
+// paper-scale hot path.
+[[gnu::always_inline]] inline void EventQueue::insert_sorted(
+    const Entry& entry) {
   // Descending firing order (earliest at the back). One insertion-sort
   // step scanning from the back: a new event usually fires after only a
   // handful of already-pending ones, so the predictable short scan beats
   // a binary search here. Equal times resolve by sequence, so the
   // position is unique and the pop order is the exact (time, seq) total
   // order of every other layout.
-  std::size_t i = heap_.size();
-  heap_.emplace_back();
-  while (i > 0 && before(heap_[i - 1], entry)) {
-    heap_[i] = heap_[i - 1];
+  std::size_t i = entries_.size();
+  entries_.emplace_back();
+  while (i > 0 && before(entries_[i - 1], entry)) {
+    entries_[i] = entries_[i - 1];
     --i;
   }
-  heap_[i] = entry;
+  entries_[i] = entry;
 }
 
 void EventQueue::heap_push(const Entry& entry) {
   // Sift up with a hole: parents shift down until the insertion slot is
   // found, and the new entry is written exactly once.
-  std::size_t i = heap_.size();
-  heap_.emplace_back();
+  std::size_t i = entries_.size();
+  entries_.emplace_back();
   while (i > 0) {
     const std::size_t parent = (i - 1) / kArity;
-    if (!before(entry, heap_[parent])) break;
-    heap_[i] = heap_[parent];
+    if (!before(entry, entries_[parent])) break;
+    entries_[i] = entries_[parent];
     i = parent;
   }
-  heap_[i] = entry;
+  entries_[i] = entry;
 }
 
 std::size_t EventQueue::clamped_bucket(Time at) const {
@@ -155,110 +144,146 @@ std::size_t EventQueue::clamped_bucket(Time at) const {
   return idx;
 }
 
+void EventQueue::park(const Entry& entry, std::uint32_t& head) {
+  // Links live under the entry's slot, so they need no storage beyond one
+  // record per slot ever allocated; growing with slots_' capacity keeps
+  // the resize to the pending set's high-water marks.
+  if (entry.slot >= links_.size()) links_.resize(slots_.capacity());
+  links_[entry.slot] = {entry.at, entry.seq, head};
+  head = entry.slot;
+}
+
+void EventQueue::unpark_chain(std::uint32_t& head) {
+  for (std::uint32_t s = head; s != kNil; s = links_[s].next)
+    entries_.push_back({links_[s].at, links_[s].seq, s});
+  head = kNil;
+}
+
+void EventQueue::sort_front() {
+  std::sort(entries_.begin(), entries_.end(),
+            [](const Entry& a, const Entry& b) { return before(b, a); });
+}
+
 void EventQueue::ladder_push(const Entry& entry) {
-  if (heap_.empty() && extra_ == 0) {
-    heap_.push_back(entry);
+  if (entries_.empty() && extra_ == 0) {
+    entries_.push_back(entry);
     front_max_ = entry.at;
     return;
   }
-  // The front heap accepts an entry only if it fires strictly before the
-  // bound set at the last spill; an equal-time push carries the globally
+  // The front accepts an entry only if it fires strictly before the bound
+  // set at the last spill; an equal-time push carries the globally
   // largest seq, so bucketing it preserves exact FIFO among simultaneous
-  // events. Near-now pushes (completions) cost O(log front) here; the
-  // common far-future push (arrival timers) falls through to an O(1)
-  // bucket append.
-  if (!heap_.empty() && entry.at < front_max_) {
-    heap_push(entry);
-    return;
+  // events. Near-now pushes (completions) are one short insertion step
+  // here; the common far-future push (arrival timers) falls through to an
+  // O(1) chain prepend.
+  if (!entries_.empty() && entry.at < front_max_) {
+    if (entries_.size() < front_limit_) {
+      insert_sorted(entry);
+      return;
+    }
+    // The front outgrew its epoch: a burst of pushes landed in its span
+    // since the last spill, and each further one would pay a long
+    // insertion memmove. Re-seed the whole set at its current density.
+    gather();
+    seed_from_entries();
+    if (entry.at < front_max_) {
+      insert_sorted(entry);
+      return;
+    }
   }
-  if (next_bucket_ >= kBuckets) {
-    overflow_.push_back(entry);
-  } else {
-    buckets_[clamped_bucket(entry.at)].push_back(entry);
-  }
+  park(entry, next_bucket_ >= kBuckets
+                  ? overflow_head_
+                  : bucket_head_[clamped_bucket(entry.at)]);
   ++extra_;
-  if (heap_.empty()) ladder_advance();  // keep the front invariant
+  if (entries_.empty()) ladder_advance();  // keep the front invariant
 }
 
 void EventQueue::ladder_advance() {
-  while (heap_.empty()) {
-    while (next_bucket_ < kBuckets && buckets_[next_bucket_].empty())
+  while (entries_.empty()) {
+    while (next_bucket_ < kBuckets && bucket_head_[next_bucket_] == kNil)
       ++next_bucket_;
     if (next_bucket_ < kBuckets) {
-      std::vector<Entry>& bucket = buckets_[next_bucket_];
+      std::uint32_t& head = bucket_head_[next_bucket_];
       if (next_bucket_ == kBuckets - 1) {
         // The top bucket is the beyond-epoch catch-all: it accumulates
         // every at-or-past-the-horizon push for the whole epoch, so by the
         // time it is reached it holds on the order of the entire pending
         // set. Spilling it into the front directly would sort thousands of
         // entries and raise front_max_ to the epoch's far tail, sending
-        // every later push into the front heap — the ladder would spend
-        // half of each cycle degenerated into one big heap. Re-seed it as
-        // a fresh epoch instead whenever its span is still subdividable;
-        // the remainder (one shared instant, or nothing finite — where
-        // re-bucketing cannot make progress) falls through to the direct
-        // spill, which stays order-safe because the spill re-sorts.
-        Time lo = bucket.front().at;
+        // every later push into the front — the ladder would spend half of
+        // each cycle degenerated into one long insertion sort. Re-seed it
+        // as a fresh epoch instead whenever its span is still
+        // subdividable; the remainder (one shared instant, or nothing
+        // finite — where re-bucketing cannot make progress) falls through
+        // to the direct spill, which stays order-safe because the spill
+        // sorts.
+        Time lo = links_[head].at;
         Time hi = lo;
-        for (const Entry& e : bucket) {
-          if (e.at < lo) lo = e.at;
-          if (e.at > hi) hi = e.at;
+        std::uint32_t tail = head;
+        for (std::uint32_t s = head; s != kNil; s = links_[s].next) {
+          if (links_[s].at < lo) lo = links_[s].at;
+          if (links_[s].at > hi) hi = links_[s].at;
+          tail = s;
         }
         if (std::isfinite(lo) && lo < hi) {
-          overflow_.insert(overflow_.end(), bucket.begin(), bucket.end());
-          bucket.clear();
+          links_[tail].next = overflow_head_;
+          overflow_head_ = head;
+          head = kNil;
           next_bucket_ = kBuckets;  // re-seed from the overflow below
           continue;
         }
       }
       // Spill the earliest non-empty bucket into the (empty) front and
-      // sort it ascending: ~size/kBuckets entries, cache-resident, and a
-      // sorted-ascending array is already a valid kArity min-heap.
-      heap_.insert(heap_.end(), bucket.begin(), bucket.end());
-      extra_ -= bucket.size();
-      bucket.clear();
-      std::sort(heap_.begin(), heap_.end(),
-                [](const Entry& a, const Entry& b) { return before(a, b); });
-      front_max_ = heap_.back().at;
+      // sort it descending: ~kBucketTarget entries, cache-resident.
+      unpark_chain(head);
+      extra_ -= entries_.size();
+      sort_front();
+      front_max_ = entries_.front().at;
+      // Doubling the spill size keeps the re-seeds of a front that is
+      // legitimately large (many entries at one instant) amortized O(1).
+      front_limit_ = std::max(kFrontMax, 2 * entries_.size());
       ++next_bucket_;
       ++ladder_spills_;
       return;
     }
-    if (overflow_.empty()) return;  // queue fully drained (extra_ == 0)
+    if (overflow_head_ == kNil) return;  // queue fully drained (extra_ == 0)
     // Epoch exhausted: re-seed a new one from the overflow.
     // Each pass redistributes everything into buckets (clamped, never back
     // into overflow). An entry can return via the top-bucket merge above,
     // but only while that bucket still spans more than one finite instant —
     // every pass moves the sub-maximum entries into lower buckets, so the
     // loop terminates even for degenerate (equal / infinite) firing times.
-    respill_.swap(overflow_);
-    seed_epoch(respill_);
-    respill_.clear();
+    const std::uint32_t chain = overflow_head_;
+    overflow_head_ = kNil;
+    seed_epoch(chain);
     ++ladder_epochs_;
   }
 }
 
-void EventQueue::seed_epoch(const std::vector<Entry>& entries) {
+void EventQueue::seed_epoch(std::uint32_t chain) {
   // Bucket width comes from the density at the epoch's *head*, not from
   // its full span: firing times in a DES cluster near now with a sparse
   // far tail (timers), so span/kBuckets would hand the head bucket — and
-  // therefore the front heap — hundreds of entries. Estimating the head
+  // therefore the front — hundreds of entries. Estimating the head
   // density as n / mean-excess (exact for an exponential profile, the
   // classic calendar-queue sizing) keeps head spills near kBucketTarget;
   // whatever the short dense epoch does not cover lands in the top-bucket
   // catch-all and simply re-seeds later. The span-based width remains as
   // the cap so sparse sets still cover themselves in one epoch.
-  Time lo = entries.front().at;
+  Time lo = links_[chain].at;
   Time hi = lo;
   double sum = 0;
-  for (const Entry& e : entries) {
-    if (e.at < lo) lo = e.at;
-    if (e.at > hi) hi = e.at;
-    sum += e.at;
+  std::size_t count = 0;
+  for (std::uint32_t s = chain; s != kNil; s = links_[s].next) {
+    const Time at = links_[s].at;
+    if (at < lo) lo = at;
+    if (at > hi) hi = at;
+    sum += at;
+    ++count;
   }
   if (!std::isfinite(lo)) lo = 0;  // every remaining event at +-inf
   double width = (hi - lo) / static_cast<double>(kBuckets);
-  const double n = static_cast<double>(entries.size());
+  const double n = static_cast<double>(count);
   const double mean_excess = sum / n - lo;
   if (std::isfinite(mean_excess) && mean_excess > 0) {
     const double dense =
@@ -269,58 +294,47 @@ void EventQueue::seed_epoch(const std::vector<Entry>& entries) {
   bucket_start_ = lo;
   bucket_inv_width_ = 1.0 / width;
   next_bucket_ = 0;
-  for (const Entry& e : entries) buckets_[clamped_bucket(e.at)].push_back(e);
+  for (std::uint32_t s = chain; s != kNil;) {
+    Link& link = links_[s];
+    const std::uint32_t next = link.next;
+    std::uint32_t& head = bucket_head_[clamped_bucket(link.at)];
+    link.next = head;
+    head = s;
+    s = next;
+  }
 }
 
-void EventQueue::enter_ladder() {
-  if (buckets_.empty()) buckets_.resize(kBuckets);  // one-time lazy build
-  // Pre-size the ladder storage. Regular buckets get 4x the head-bucket
-  // target (head spills aim at kBucketTarget; 4x absorbs Poisson spread
-  // and moderate clustering); the catch-all bucket, the overflow, and the
-  // re-seed scratch can each briefly hold the whole pending set, so they
-  // get the full expected depth. Reserve is monotone — later entries at a
-  // bigger size only ever raise the floor — and a pathological epoch that
-  // still outgrows a vector costs a one-time capacity raise, not
-  // steady-state churn.
-  const std::size_t deep = std::max(heap_.size(), ladder_reserve_);
-  const std::size_t share =
-      std::max(4 * (deep / kBuckets + 1), 4 * kBucketTarget);
-  for (auto& bucket : buckets_)
-    if (bucket.capacity() < share) bucket.reserve(share);
-  buckets_[kBuckets - 1].reserve(deep);
-  overflow_.reserve(deep);
-  respill_.reserve(deep);
-  seed_epoch(heap_);
-  extra_ += heap_.size();
-  heap_.clear();
-  layout_ = Layout::Ladder;
-  ++mode_flips_;
+void EventQueue::seed_from_entries() {
+  std::uint32_t chain = kNil;
+  for (const Entry& e : entries_) park(e, chain);
+  extra_ += entries_.size();
+  entries_.clear();
+  seed_epoch(chain);
   ++ladder_epochs_;
   ladder_advance();  // establish the front invariant
 }
 
-void EventQueue::exit_ladder_to_heap() {
-  // Gather everything still pending into one vector and sort it ascending
-  // by (time, seq): a sorted-ascending array is a valid kArity-heap.
-  for (std::size_t b = next_bucket_; b < kBuckets; ++b) {
-    heap_.insert(heap_.end(), buckets_[b].begin(), buckets_[b].end());
-    buckets_[b].clear();
-  }
-  heap_.insert(heap_.end(), overflow_.begin(), overflow_.end());
-  overflow_.clear();
+void EventQueue::gather() {
+  for (std::size_t b = next_bucket_; b < kBuckets; ++b)
+    unpark_chain(bucket_head_[b]);
+  unpark_chain(overflow_head_);
   extra_ = 0;
-  std::sort(heap_.begin(), heap_.end(),
-            [](const Entry& a, const Entry& b) { return before(a, b); });
-  reset_ladder();
-  layout_ = Layout::Heap;
-  ++mode_flips_;
 }
 
-void EventQueue::reset_ladder() {
-  bucket_start_ = 0;
-  bucket_inv_width_ = 1;
-  next_bucket_ = 0;
-  front_max_ = 0;
+void EventQueue::enter_ladder() {
+  if (bucket_head_.empty()) bucket_head_.assign(kBuckets, kNil);
+  layout_ = Layout::Ladder;
+  ++mode_flips_;
+  seed_from_entries();
+}
+
+void EventQueue::exit_ladder() {
+  // Everything still bucketed fires after the whole front; gather it
+  // behind the front and restore the sorted tier's descending order.
+  gather();
+  sort_front();
+  layout_ = Layout::Sorted;
+  ++mode_flips_;
 }
 
 void EventQueue::push_entry(Time at, std::uint32_t slot) {
@@ -333,29 +347,14 @@ void EventQueue::push_entry(Time at, std::uint32_t slot) {
         insert_sorted(entry);
         return;
       }
-      if (n >= ladder_limit()) {
-        // Forced-ladder mode skips the heap tier entirely.
-        enter_ladder();
-        ladder_push(entry);
-        return;
-      }
-      // Outgrew the sorted range: descending order reversed is ascending,
-      // and a sorted-ascending array is already a valid min-heap.
-      std::reverse(heap_.begin(), heap_.end());
-      layout_ = Layout::Heap;
-      ++mode_flips_;
-      heap_push(entry);
+      // Outgrew the sorted range: bucket everything into the ladder.
+      enter_ladder();
+      ladder_push(entry);
       return;
     }
-    case Layout::Heap: {
-      if (n >= ladder_limit()) {
-        enter_ladder();
-        ladder_push(entry);
-        return;
-      }
+    case Layout::Heap:
       heap_push(entry);
       return;
-    }
     case Layout::Ladder:
       ladder_push(entry);
       return;
@@ -363,12 +362,12 @@ void EventQueue::push_entry(Time at, std::uint32_t slot) {
 }
 
 EventQueue::Action EventQueue::heap_pop_root() {
-  const std::uint32_t slot = heap_.front().slot;
+  const std::uint32_t slot = entries_.front().slot;
   Action action = std::move(slots_[slot]);
   free_.push_back(slot);
-  const Entry last = heap_.back();
-  heap_.pop_back();
-  const std::size_t n = heap_.size();
+  const Entry last = entries_.back();
+  entries_.pop_back();
+  const std::size_t n = entries_.size();
   if (n > 0) {
     // Sift down with a hole: pull the earliest child up until `last`
     // (the displaced tail entry) finds its place.
@@ -379,31 +378,12 @@ EventQueue::Action EventQueue::heap_pop_root() {
       std::size_t best = first;
       const std::size_t end = first + kArity < n ? first + kArity : n;
       for (std::size_t c = first + 1; c < end; ++c)
-        if (before(heap_[c], heap_[best])) best = c;
-      if (!before(heap_[best], last)) break;
-      heap_[i] = heap_[best];
+        if (before(entries_[c], entries_[best])) best = c;
+      if (!before(entries_[best], last)) break;
+      entries_[i] = entries_[best];
       i = best;
     }
-    heap_[i] = last;
-  }
-  return action;
-}
-
-EventQueue::Action EventQueue::pop_heap_layout() {
-  Action action = heap_pop_root();
-  const std::size_t n = heap_.size();
-  if (n > 0) {
-    if (mode_ == QueueMode::Adaptive && n <= kSortLowWater) {
-      // Shrunk well below the boundary: return to the sorted fast path.
-      // Sorting by the unique (time, seq) total order is deterministic,
-      // and the wide gap to kArrayMax prevents layout thrash.
-      std::sort(heap_.begin(), heap_.end(),
-                [](const Entry& a, const Entry& b) { return before(b, a); });
-      layout_ = Layout::Sorted;
-      ++mode_flips_;
-    }
-  } else if (mode_ != QueueMode::Heap) {
-    layout_ = Layout::Sorted;  // drained: the next burst starts sorted
+    entries_[i] = last;
   }
   return action;
 }
@@ -412,23 +392,26 @@ EventQueue::Action EventQueue::pop() {
   switch (layout_) {
     case Layout::Sorted: {
       // Sorted mode: the earliest event sits at the back.
-      const std::uint32_t slot = heap_.back().slot;
-      heap_.pop_back();
+      const std::uint32_t slot = entries_.back().slot;
+      entries_.pop_back();
       Action action = std::move(slots_[slot]);
       free_.push_back(slot);
       return action;
     }
     case Layout::Heap:
-      return pop_heap_layout();
+      return heap_pop_root();
     case Layout::Ladder: {
-      Action action = heap_pop_root();
-      if (heap_.empty() && extra_ > 0) ladder_advance();
+      // The front is sorted descending, like the sorted tier.
+      const std::uint32_t slot = entries_.back().slot;
+      entries_.pop_back();
+      Action action = std::move(slots_[slot]);
+      free_.push_back(slot);
+      if (entries_.empty() && extra_ > 0) ladder_advance();
       const std::size_t n = size();
       if (n == 0) {
-        reset_ladder();
         layout_ = Layout::Sorted;  // drained: the next burst starts sorted
-      } else if (mode_ == QueueMode::Adaptive && n <= kLadderLow) {
-        exit_ladder_to_heap();
+      } else if (mode_ == QueueMode::Adaptive && n <= kSortLowWater) {
+        exit_ladder();
       }
       return action;
     }

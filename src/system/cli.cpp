@@ -181,7 +181,7 @@ std::string cli_usage() {
       "                       queued pex; default d=2) — O(d) per decision;\n"
       "                       jsq-pex over --load_model=exact is O(log k)\n"
       "  --event_queue=" + joined_names(sim::queue_mode_names()) + "\n"
-      "                       pending-set layout (adaptive = sorted/heap/\n"
+      "                       pending-set layout (adaptive = sorted or\n"
       "                       ladder by occupancy; forced modes for A/B).\n"
       "                       Pop order is identical in every mode\n"
       "  --policy=EDF|MLF|FCFS|SJF --abort=NoAbort|AbortTardy|AbortHopeless\n"

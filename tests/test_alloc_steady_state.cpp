@@ -331,6 +331,9 @@ TEST(AllocSteadyState, CounterSeesAllocations) {
   // Sanity: the hook is actually installed in this binary.
   const std::uint64_t before = dsrt::testing::allocation_count();
   auto* p = new std::vector<int>(1024);
+  // Escape both blocks, or the optimizer may merge the two allocations
+  // of a vector that never leaves this scope.
+  asm volatile("" : : "g"(p), "g"(p->data()) : "memory");
   const std::uint64_t after = dsrt::testing::allocation_count();
   delete p;
   EXPECT_GE(after - before, 2u);  // the vector object + its buffer

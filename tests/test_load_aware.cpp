@@ -6,6 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstddef>
+#include <limits>
+#include <utility>
 #include <vector>
 
 #include "dsrt/core/load_aware_strategies.hpp"
@@ -82,6 +85,60 @@ TEST(LoadBoard, ShardedSlotsKeepStableAddressesAcrossGrowth) {
   });
   EXPECT_EQ(seen, 4096u);
   EXPECT_DOUBLE_EQ(sum, 9.0);
+}
+
+TEST(BacklogIndex, EveryWriteMatchesARebuildAndBruteForce) {
+  // Differential check of the in-place update (including its early exit)
+  // against a from-scratch build after every write. Keys come from a
+  // handful of values, so ties are constant; exact zeros (idle nodes),
+  // +inf (down nodes) and rewrites of the current key are all frequent.
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const std::size_t k : {1, 5, 37, 64}) {
+    Rng rng(91, k);
+    const auto draw = [&](double current) {
+      const double u = rng.uniform01();
+      if (u < 0.15) return current;
+      if (u < 0.30) return 0.0;
+      if (u < 0.40) return inf;
+      return 0.5 * std::floor(rng.uniform01() * 4.0);
+    };
+    std::vector<double> keys(k);
+    for (double& key : keys) key = draw(0.0);
+    core::BacklogIndex index(keys);
+    for (int step = 0; step < 2000; ++step) {
+      const std::size_t i = rng.below(k);
+      keys[i] = draw(keys[i]);
+      index.set(i, keys[i]);
+      const core::BacklogIndex rebuilt(keys);
+      ASSERT_EQ(index.leaves(), rebuilt.leaves());
+      for (std::size_t v = 1; v < 2 * index.leaves(); ++v) {
+        ASSERT_EQ(index.vertex(v).key, rebuilt.vertex(v).key)
+            << "k=" << k << " step " << step << " vertex " << v;
+        ASSERT_EQ(index.vertex(v).count, rebuilt.vertex(v).count)
+            << "k=" << k << " step " << step << " vertex " << v;
+      }
+      for (int q = 0; q < 4; ++q) {
+        std::size_t lo = rng.below(k);
+        std::size_t hi = rng.below(k);
+        if (lo > hi) std::swap(lo, hi);
+        ++hi;
+        std::vector<std::size_t> minima;
+        double best = inf;
+        for (std::size_t j = lo; j < hi; ++j) {
+          if (keys[j] < best) {
+            best = keys[j];
+            minima.clear();
+          }
+          if (keys[j] == best) minima.push_back(j);
+        }
+        const core::BacklogIndex::Min m = index.min_over(lo, hi);
+        ASSERT_EQ(m.key, best);
+        ASSERT_EQ(m.count, minima.size());
+        for (std::size_t s = 0; s < minima.size(); ++s)
+          ASSERT_EQ(index.nth_min(lo, hi, best, s), minima[s]);
+      }
+    }
+  }
 }
 
 TEST(LoadModel, ExactReadsLiveAccounts) {
