@@ -11,9 +11,8 @@
 // (--sweep_<field>=v1,v2,... — repeatable; cartesian by default, --zip for
 // lockstep) print one row per grid point. Replications and sweep points
 // execute concurrently on the engine thread pool (--jobs=N; results are
-// identical for every N). Sweeps and --emit=json,csv requests write a
-// BENCH_sim_cli.json perf artifact plus machine-readable result files
-// under --out; plain single-config runs only print.
+// identical for every N). --emit=json,csv writes sim_cli.json/.csv result
+// files under --out; runs without it only print.
 #include <cstdio>
 #include <iostream>
 
@@ -109,10 +108,9 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // Plain single-config runs stay print-only; sweeps and --emit requests
-  // produce files, so fail a typo'd --out before simulating anything.
-  const bool writes_files =
-      opts.emit_json || opts.emit_csv || !grid.axes().empty();
+  // --emit requests produce files, so fail a typo'd --out before
+  // simulating anything.
+  const bool writes_files = opts.emit_json || opts.emit_csv;
   if (writes_files) {
     try {
       engine::ensure_writable_dir(opts.out_dir);
@@ -218,9 +216,7 @@ int main(int argc, char** argv) {
 
   if (writes_files) {
     try {
-      const std::string artifact =
-          engine::write_bench_artifact("sim_cli", sweep, opts.out_dir);
-      std::printf("\nwrote %s\n", artifact.c_str());
+      std::printf("\n");
       for (const std::string& path : engine::write_sweep_files(
                "sim_cli", sweep, opts.emit_csv, opts.emit_json,
                opts.out_dir))

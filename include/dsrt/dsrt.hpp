@@ -21,8 +21,8 @@
 ///              system, the observers beside trace)
 ///   engine   - experiment orchestration: thread-pool replication/sweep
 ///              runner, declarative parameter grids, seed derivation,
-///              DIV-x tuning, structured result emitters (CSV / JSON /
-///              BENCH artifacts, pivot tables)
+///              DIV-x tuning, structured result emitters (table / CSV /
+///              JSON, pivot tables)
 ///   xp       - sweep harness: named manifest registry over the engine's
 ///              grids (every figure and ablation, with its table views),
 ///              sharded/resumable runner with JSONL artifacts,

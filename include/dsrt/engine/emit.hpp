@@ -37,42 +37,6 @@ stats::Table pivot_table(
 /// estimates + per-replication raw headline metrics.
 std::string sweep_json(const SweepResult& sweep);
 
-/// Perf/result artifact written next to the bench outputs:
-/// BENCH_<name>.json with wall time, points, replications, total runs,
-/// reps/sec, and worker count. Returns the path written.
-std::string write_bench_artifact(const std::string& name,
-                                 const SweepResult& sweep,
-                                 const std::string& out_dir = ".");
-
-/// The artifact body (exposed for tests and for embedding).
-std::string bench_artifact_json(const std::string& name,
-                                const SweepResult& sweep);
-
-/// One timed micro-benchmark: `items` units of `unit` ("events", "jobs",
-/// "reps") processed in `wall_seconds`. The kernel microbench
-/// (bench/micro_engine.cpp) emits a list of these as BENCH_kernel.json —
-/// the per-PR performance trajectory of the discrete-event hot path.
-struct BenchEntry {
-  std::string name;
-  std::string unit;
-  double items = 0;
-  double wall_seconds = 0;
-  /// Items per wall-clock second.
-  double rate() const {
-    return wall_seconds > 0 ? items / wall_seconds : 0.0;
-  }
-};
-
-/// BENCH_<name>.json body for micro-bench entries (exposed for tests).
-std::string microbench_json(const std::string& name,
-                            const std::vector<BenchEntry>& entries);
-
-/// Writes BENCH_<name>.json under `out_dir`; returns the path written.
-/// Throws std::runtime_error when the file cannot be written.
-std::string write_microbench_artifact(const std::string& name,
-                                      const std::vector<BenchEntry>& entries,
-                                      const std::string& out_dir = ".");
-
 /// Probes that `out_dir` accepts new files (creates and removes a scratch
 /// file). Call before a long sweep whose artifacts land there, so a typo'd
 /// --out fails in milliseconds instead of after the simulation. Throws

@@ -28,8 +28,8 @@ struct PointResult {
   system::ExperimentResult result;
 };
 
-/// A fully executed sweep, plus the bookkeeping the emitters need for the
-/// BENCH_* perf artifacts.
+/// A fully executed sweep, plus the run bookkeeping (workers, wall time)
+/// the table and JSON emitters report.
 struct SweepResult {
   std::vector<std::string> axis_names;
   std::vector<PointResult> points;   ///< in grid (row-major) order

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <cstddef>
-#include <string_view>
 #include <vector>
 
 #include "dsrt/sim/inline_action.hpp"
@@ -10,26 +9,9 @@
 
 namespace dsrt::sim {
 
-/// Layout discipline of the pending-event set. `Adaptive` (default) picks
-/// the layout from the pending count — sorted array, then ladder — with
-/// hysteresis at the boundary; the other values pin one layout for
-/// differential tests and A/B benchmarks (`Heap`, a 4-ary heap, is never
-/// chosen adaptively: it is the order oracle and the A/B partner). All four
-/// pop the identical (time, seq) total order, so the choice can never
-/// change a trajectory, only its speed.
-enum class QueueMode : std::uint8_t { Adaptive, Sorted, Heap, Ladder };
-
-/// Parses "adaptive" | "sorted" | "heap" | "ladder". Modes take no
-/// parameter; any ":..." suffix or unknown name is rejected with the full
-/// registry vocabulary in the message (like the placement/load-model specs).
-QueueMode parse_queue_mode(std::string_view text);
-
-/// Canonical name of a mode (inverse of parse_queue_mode).
-std::string_view queue_mode_name(QueueMode mode);
-
-/// Every name parse_queue_mode accepts, in registry order; the CLI builds
-/// --help and error vocabulary from this.
-std::vector<std::string_view> queue_mode_names();
+/// Sole pending-set discipline; kept only for perfbench/traced.cpp's
+/// configure_queue call and deleted with it.
+enum class QueueMode : std::uint8_t { Adaptive };
 
 /// Pending-event set of the discrete-event kernel.
 ///
@@ -44,7 +26,7 @@ std::vector<std::string_view> queue_mode_names();
 /// state (every backing vector is reserved up front and only grows when
 /// the pending set reaches a new high-water mark).
 ///
-/// The entry storage is *adaptive* across two tiers:
+/// The entry storage adapts across two tiers:
 ///
 ///  - Sorted (<= kArrayMax): one vector kept fully sorted, firing order
 ///    descending, so pop is a plain `pop_back` and push is one
@@ -74,9 +56,7 @@ std::vector<std::string_view> queue_mode_names();
 ///    remaining entries gather back into the sorted tier (wide hysteresis,
 ///    no thrash).
 ///
-/// Forced `Heap` mode keeps the vector as an implicit 4-ary min-heap.
-///
-/// All layouts pop in the identical (time, seq) total order — the ladder
+/// Both tiers pop in the identical (time, seq) total order — the ladder
 /// preserves it because (a) an entry joins the front only when it fires
 /// strictly before the front's latest entry (everything bucketed fires
 /// at-or-after that bound, since the time → bucket mapping is monotone
@@ -121,22 +101,13 @@ class EventQueue {
   /// Number of pending events.
   std::size_t size() const { return entries_.size() + extra_; }
 
-  /// Firing time of the earliest event. Requires !empty(). (In ladder
-  /// layout the front is non-empty whenever the queue is — pop restores
-  /// that invariant eagerly — so this stays a pure read; only the forced
-  /// heap keeps the earliest entry at the front of the vector.)
-  Time next_time() const {
-    return layout_ == Layout::Heap ? entries_.front().at : entries_.back().at;
-  }
+  /// Firing time of the earliest event. Requires !empty(). (In the ladder
+  /// the front is non-empty whenever the queue is — pop restores that
+  /// invariant eagerly — so this stays a pure read.)
+  Time next_time() const { return entries_.back().at; }
 
   /// Removes and returns the earliest event's action. Requires !empty().
   Action pop();
-
-  /// Forces a layout discipline. Only callable while the queue is empty
-  /// (throws std::logic_error otherwise): a forced layout applies from the
-  /// first push, so there is never a mid-run migration to order-check.
-  void set_mode(QueueMode mode);
-  QueueMode mode() const { return mode_; }
 
   /// Pre-sizes the entry/slot storage for an expected pending depth, so
   /// big-k configurations warm up without growth reallocations.
@@ -166,14 +137,12 @@ class EventQueue {
   /// run keeps ~k completions + k+1 arrivals pending), so the common case
   /// never reallocates after construction.
   static constexpr std::size_t kReserve = 256;
-  /// Heap arity; children of node i are kArity*i + 1 ... kArity*i + kArity.
-  static constexpr std::size_t kArity = 4;
   /// Largest pending set kept sorted; beyond this the ladder takes over.
   /// At 64 entries the insertion memmove averages ~0.8 KB — still cheaper
   /// than bucketing, and the ladder's front is this same array kept at
   /// about one bucket's worth of entries.
   static constexpr std::size_t kArrayMax = 64;
-  /// The adaptive ladder gathers back into the sorted tier at this size.
+  /// The ladder gathers back into the sorted tier at this size.
   /// The wide hysteresis gap to kArrayMax keeps layout switches rare.
   static constexpr std::size_t kSortLowWater = 16;
   /// Epoch buckets. With head-density bucket sizing an epoch covers up to
@@ -192,8 +161,8 @@ class EventQueue {
   /// End of a bucket chain.
   static constexpr std::uint32_t kNil = static_cast<std::uint32_t>(-1);
 
-  /// Current physical layout (mode_ is the *policy*, this is the state).
-  enum class Layout : std::uint8_t { Sorted, Heap, Ladder };
+  /// Current tier.
+  enum class Layout : std::uint8_t { Sorted, Ladder };
 
   struct Entry {
     Time at;
@@ -217,12 +186,9 @@ class EventQueue {
 
   void push_entry(Time at, std::uint32_t slot);
   void insert_sorted(const Entry& entry);  ///< sorted-tier insertion step
-  void heap_push(const Entry& entry);      ///< sift-up with a hole
-  Action heap_pop_root();  ///< root pop + sift-down (forced heap)
 
   // Ladder tier. The sorted front reuses entries_ (back = earliest); the
   // bucket and overflow chains hold the remaining `extra_` entries.
-  std::size_t sorted_limit() const;        ///< mode-dependent kArrayMax
   std::size_t clamped_bucket(Time at) const;
   void park(const Entry& entry, std::uint32_t& head);  ///< chain prepend
   void unpark_chain(std::uint32_t& head);  ///< append a chain to entries_
@@ -235,13 +201,11 @@ class EventQueue {
   void enter_ladder();        ///< sorted tier -> ladder
   void exit_ladder();         ///< ladder -> sorted tier
 
-  /// Sorted descending (the sorted tier, or the ladder's front), or the
-  /// forced 4-ary heap.
+  /// Sorted descending (the sorted tier, or the ladder's front).
   std::vector<Entry> entries_;
   std::vector<Action> slots_;       ///< actions, stable while pending
   std::vector<std::uint32_t> free_; ///< recycled slot indices
   std::uint64_t next_seq_ = 0;
-  QueueMode mode_ = QueueMode::Adaptive;
   Layout layout_ = Layout::Sorted;
   std::size_t max_pending_ = 0;     ///< pending-set high-water mark
   std::uint64_t mode_flips_ = 0;    ///< layout transitions (all directions)

@@ -63,13 +63,15 @@ class Simulator {
   /// counters (high-water depth, layout flips) to the obs probes.
   const EventQueue& queue() const { return queue_; }
 
-  /// Forces the pending-set layout and pre-sizes its storage for an
-  /// expected depth. Must be called before any event is scheduled
-  /// (EventQueue::set_mode throws on a non-empty queue); SimulationRun
-  /// does this first thing, from Config::event_queue and the node count.
-  void configure_queue(QueueMode mode, std::size_t expected_pending = 0) {
-    queue_.set_mode(mode);
-    if (expected_pending > 0) queue_.reserve(expected_pending);
+  /// Pre-sizes the pending-event storage for an expected depth, so big-k
+  /// runs warm up without growth reallocations.
+  void reserve_queue(std::size_t expected_pending) {
+    queue_.reserve(expected_pending);
+  }
+
+  /// Only reserves; kept for perfbench/traced.cpp, which still calls it.
+  void configure_queue(QueueMode, std::size_t expected_pending = 0) {
+    reserve_queue(expected_pending);
   }
 
  private:

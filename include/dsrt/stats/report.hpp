@@ -6,7 +6,7 @@
 
 namespace dsrt::stats {
 
-/// Fixed-column text table used by every bench to print the rows/series a
+/// Fixed-column text table used by every tool to print the rows/series a
 /// paper figure or table reports, plus a CSV form for plotting.
 class Table {
  public:

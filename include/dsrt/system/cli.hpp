@@ -1,6 +1,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 
 #include "dsrt/system/config.hpp"
 #include "dsrt/util/flags.hpp"
@@ -30,11 +31,11 @@ namespace dsrt::system {
 ///   --periodic           (deterministic global inter-arrivals)
 ///   --horizon=1e6 --warmup=0 --seed=...
 ///
-/// Unknown strategy/policy names throw std::invalid_argument with the
-/// offending name.
+/// Unknown flags (check_flags) and unknown strategy/policy names throw
+/// std::invalid_argument with the offending name.
 Config config_from_flags(const util::Flags& flags);
 
-/// Run-control options shared by the CLI tools and benches: how many
+/// Run-control options shared by the CLI tools: how many
 /// replications, how many worker threads, and which structured outputs to
 /// produce. Config describes *what* to simulate; RunOptions describe *how*
 /// to orchestrate and report it (consumed by the engine layer).
@@ -65,5 +66,13 @@ RunOptions run_options_from_flags(const util::Flags& flags);
 
 /// Returns the usage text above (for --help handling in tools).
 std::string cli_usage();
+
+/// True for a flag name cli_usage() documents (without the leading
+/// "--"), including every `sweep_<field>` axis.
+bool is_cli_flag(std::string_view name);
+
+/// Throws std::invalid_argument("unknown flag --<name>") for the first
+/// flag that is not is_cli_flag, so a typo never runs as the default.
+void check_flags(const util::Flags& flags);
 
 }  // namespace dsrt::system

@@ -55,12 +55,7 @@ struct Config {
   /// with no load model wired they degenerate to deterministic
   /// round-robin).
   core::PlacementSpec placement;
-  /// Layout discipline of the pending-event set. `Adaptive` (default)
-  /// graduates from a sorted array to a ladder/calendar queue as the
-  /// pending count grows; the forced values pin one layout for A/B
-  /// benchmarks and differential tests. Every mode pops the identical
-  /// (time, seq) order, so this can never change a trajectory — only its
-  /// speed at thousands-of-nodes configurations.
+  /// Unread; kept for perfbench/traced.cpp, which still passes it on.
   sim::QueueMode event_queue = sim::QueueMode::Adaptive;
 
   // --- Workload (Table 1) ------------------------------------------------

@@ -8,7 +8,7 @@
 
 namespace dsrt::util {
 
-/// Minimal command-line flag parser shared by benches and examples.
+/// Minimal command-line flag parser shared by the tools and examples.
 ///
 /// Accepts `--name=value`, `--name value`, and bare boolean `--name`.
 /// Unknown positional arguments are collected in `positional()`.

@@ -212,83 +212,6 @@ std::string sweep_json(const SweepResult& sweep) {
   return os.str();
 }
 
-std::string bench_artifact_json(const std::string& name,
-                                const SweepResult& sweep) {
-  std::ostringstream os;
-  os << "{\"name\":" << quoted(name)
-     << ",\"points\":" << sweep.points.size()
-     << ",\"replications\":" << sweep.replications
-     << ",\"total_runs\":" << sweep.total_runs
-     << ",\"jobs\":" << sweep.jobs
-     << ",\"wall_seconds\":" << num(sweep.wall_seconds)
-     << ",\"runs_per_second\":" << num(sweep.runs_per_second());
-  // Headline result grid, so a BENCH_* artifact alone can back claims like
-  // "jsq-pex beats static on MD_overall at load 0.85" without re-running
-  // the sweep (the full-fidelity per-replication data stays in the
-  // --emit=json file).
-  os << ",\"axes\":[";
-  for (std::size_t a = 0; a < sweep.axis_names.size(); ++a)
-    os << (a ? "," : "") << quoted(sweep.axis_names[a]);
-  os << "],\"results\":[";
-  for (std::size_t i = 0; i < sweep.points.size(); ++i) {
-    const PointResult& pr = sweep.points[i];
-    os << (i ? "," : "") << "{\"labels\":[";
-    for (std::size_t a = 0; a < pr.point.labels.size(); ++a)
-      os << (a ? "," : "") << quoted(pr.point.labels[a]);
-    os << "],\"md_local\":" << num(pr.result.md_local.mean)
-       << ",\"md_global\":" << num(pr.result.md_global.mean)
-       << ",\"md_overall\":" << num(pr.result.md_overall.mean);
-    if (!pr.result.counters.empty())
-      os << ",\"counters\":" << pr.result.counters.json();
-    os << "}";
-  }
-  os << "]}\n";
-  return os.str();
-}
-
-std::string microbench_json(const std::string& name,
-                            const std::vector<BenchEntry>& entries) {
-  std::ostringstream os;
-  os << "{\"name\":" << quoted(name) << ",\"entries\":[";
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    const BenchEntry& e = entries[i];
-    os << (i ? "," : "") << "{\"name\":" << quoted(e.name)
-       << ",\"unit\":" << quoted(e.unit) << ",\"items\":" << num(e.items)
-       << ",\"wall_seconds\":" << num(e.wall_seconds)
-       << ",\"rate\":" << num(e.rate()) << "}";
-  }
-  os << "]}\n";
-  return os.str();
-}
-
-std::string write_microbench_artifact(const std::string& name,
-                                      const std::vector<BenchEntry>& entries,
-                                      const std::string& out_dir) {
-  const std::string path = out_dir + "/BENCH_" + name + ".json";
-  std::ofstream file(path);
-  if (!file)
-    throw std::runtime_error("write_microbench_artifact: cannot open " + path);
-  file << microbench_json(name, entries);
-  if (!file.good())
-    throw std::runtime_error("write_microbench_artifact: write failed for " +
-                             path);
-  return path;
-}
-
-std::string write_bench_artifact(const std::string& name,
-                                 const SweepResult& sweep,
-                                 const std::string& out_dir) {
-  const std::string path = out_dir + "/BENCH_" + name + ".json";
-  std::ofstream file(path);
-  if (!file)
-    throw std::runtime_error("write_bench_artifact: cannot open " + path);
-  file << bench_artifact_json(name, sweep);
-  if (!file.good())
-    throw std::runtime_error("write_bench_artifact: write failed for " +
-                             path);
-  return path;
-}
-
 void ensure_writable_dir(const std::string& out_dir) {
   const std::string probe = out_dir + "/.dsrt_write_probe";
   {

@@ -2,93 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
-#include <string>
 #include <utility>
 
 namespace dsrt::sim {
-
-namespace {
-
-/// Single source of truth for the name-addressable queue modes: lookup,
-/// error messages, and the CLI help vocabulary all read this table.
-struct QueueModeRegistryEntry {
-  std::string_view name;
-  QueueMode mode;
-};
-
-constexpr QueueModeRegistryEntry kQueueModeRegistry[] = {
-    {"adaptive", QueueMode::Adaptive},
-    {"sorted", QueueMode::Sorted},
-    {"heap", QueueMode::Heap},
-    {"ladder", QueueMode::Ladder},
-};
-
-std::string mode_vocabulary() {
-  std::string out;
-  for (const auto& entry : kQueueModeRegistry) {
-    if (!out.empty()) out += '|';
-    out += entry.name;
-  }
-  return out;
-}
-
-}  // namespace
-
-QueueMode parse_queue_mode(std::string_view text) {
-  std::string_view kind = text;
-  if (const auto colon = text.find(':'); colon != std::string_view::npos) {
-    // No mode is parameterized; rejecting the whole token (instead of
-    // silently ignoring the suffix) keeps "ladder:junk" from running as a
-    // half-parsed ladder.
-    kind = text.substr(0, colon);
-    for (const auto& entry : kQueueModeRegistry) {
-      if (kind == entry.name)
-        throw std::invalid_argument("parse_queue_mode: '" + std::string(kind) +
-                                    "' takes no parameter (got '" +
-                                    std::string(text) + "')");
-    }
-  }
-  for (const auto& entry : kQueueModeRegistry) {
-    if (text == entry.name) return entry.mode;
-  }
-  throw std::invalid_argument("parse_queue_mode: unknown mode '" +
-                              std::string(text) + "' (want " +
-                              mode_vocabulary() + ")");
-}
-
-std::string_view queue_mode_name(QueueMode mode) {
-  for (const auto& entry : kQueueModeRegistry)
-    if (entry.mode == mode) return entry.name;
-  return "adaptive";  // unreachable
-}
-
-std::vector<std::string_view> queue_mode_names() {
-  std::vector<std::string_view> names;
-  for (const auto& entry : kQueueModeRegistry) names.push_back(entry.name);
-  return names;
-}
-
-void EventQueue::set_mode(QueueMode mode) {
-  if (!empty())
-    throw std::logic_error("EventQueue::set_mode: queue not empty");
-  mode_ = mode;
-  // Forced-heap starts (and stays) in heap layout; everything else starts
-  // from the sorted layout and grows into its tier, so no flip is counted
-  // for the forcing itself.
-  layout_ = mode == QueueMode::Heap ? Layout::Heap : Layout::Sorted;
-}
 
 void EventQueue::reserve(std::size_t expected_pending) {
   const std::size_t n = std::max(expected_pending, kReserve);
   entries_.reserve(n);
   slots_.reserve(n);
   free_.reserve(n);
-}
-
-std::size_t EventQueue::sorted_limit() const {
-  return mode_ == QueueMode::Sorted ? static_cast<std::size_t>(-1)
-                                    : kArrayMax;
 }
 
 // Forced inline: with the ladder front as a second caller the compiler
@@ -101,26 +23,12 @@ std::size_t EventQueue::sorted_limit() const {
   // handful of already-pending ones, so the predictable short scan beats
   // a binary search here. Equal times resolve by sequence, so the
   // position is unique and the pop order is the exact (time, seq) total
-  // order of every other layout.
+  // order the ladder tier pops too.
   std::size_t i = entries_.size();
   entries_.emplace_back();
   while (i > 0 && before(entries_[i - 1], entry)) {
     entries_[i] = entries_[i - 1];
     --i;
-  }
-  entries_[i] = entry;
-}
-
-void EventQueue::heap_push(const Entry& entry) {
-  // Sift up with a hole: parents shift down until the insertion slot is
-  // found, and the new entry is written exactly once.
-  std::size_t i = entries_.size();
-  entries_.emplace_back();
-  while (i > 0) {
-    const std::size_t parent = (i - 1) / kArity;
-    if (!before(entry, entries_[parent])) break;
-    entries_[i] = entries_[parent];
-    i = parent;
   }
   entries_[i] = entry;
 }
@@ -341,82 +249,29 @@ void EventQueue::push_entry(Time at, std::uint32_t slot) {
   const Entry entry{at, next_seq_++, slot};
   const std::size_t n = size();
   if (n >= max_pending_) max_pending_ = n + 1;
-  switch (layout_) {
-    case Layout::Sorted: {
-      if (n < sorted_limit()) {
-        insert_sorted(entry);
-        return;
-      }
-      // Outgrew the sorted range: bucket everything into the ladder.
-      enter_ladder();
-      ladder_push(entry);
-      return;
-    }
-    case Layout::Heap:
-      heap_push(entry);
-      return;
-    case Layout::Ladder:
-      ladder_push(entry);
-      return;
+  if (layout_ == Layout::Ladder) {
+    ladder_push(entry);
+  } else if (n < kArrayMax) {
+    insert_sorted(entry);
+  } else {
+    // Outgrew the sorted range: bucket everything into the ladder.
+    enter_ladder();
+    ladder_push(entry);
   }
-}
-
-EventQueue::Action EventQueue::heap_pop_root() {
-  const std::uint32_t slot = entries_.front().slot;
-  Action action = std::move(slots_[slot]);
-  free_.push_back(slot);
-  const Entry last = entries_.back();
-  entries_.pop_back();
-  const std::size_t n = entries_.size();
-  if (n > 0) {
-    // Sift down with a hole: pull the earliest child up until `last`
-    // (the displaced tail entry) finds its place.
-    std::size_t i = 0;
-    for (;;) {
-      const std::size_t first = kArity * i + 1;
-      if (first >= n) break;
-      std::size_t best = first;
-      const std::size_t end = first + kArity < n ? first + kArity : n;
-      for (std::size_t c = first + 1; c < end; ++c)
-        if (before(entries_[c], entries_[best])) best = c;
-      if (!before(entries_[best], last)) break;
-      entries_[i] = entries_[best];
-      i = best;
-    }
-    entries_[i] = last;
-  }
-  return action;
 }
 
 EventQueue::Action EventQueue::pop() {
-  switch (layout_) {
-    case Layout::Sorted: {
-      // Sorted mode: the earliest event sits at the back.
-      const std::uint32_t slot = entries_.back().slot;
-      entries_.pop_back();
-      Action action = std::move(slots_[slot]);
-      free_.push_back(slot);
-      return action;
-    }
-    case Layout::Heap:
-      return heap_pop_root();
-    case Layout::Ladder: {
-      // The front is sorted descending, like the sorted tier.
-      const std::uint32_t slot = entries_.back().slot;
-      entries_.pop_back();
-      Action action = std::move(slots_[slot]);
-      free_.push_back(slot);
-      if (entries_.empty() && extra_ > 0) ladder_advance();
-      const std::size_t n = size();
-      if (n == 0) {
-        layout_ = Layout::Sorted;  // drained: the next burst starts sorted
-      } else if (mode_ == QueueMode::Adaptive && n <= kSortLowWater) {
-        exit_ladder();
-      }
-      return action;
-    }
+  // Both tiers keep the earliest event at the back (the ladder's front is
+  // sorted descending, like the sorted tier).
+  const std::uint32_t slot = entries_.back().slot;
+  entries_.pop_back();
+  Action action = std::move(slots_[slot]);
+  free_.push_back(slot);
+  if (layout_ == Layout::Ladder) {
+    if (entries_.empty() && extra_ > 0) ladder_advance();
+    if (size() <= kSortLowWater) exit_ladder();
   }
-  return Action{};  // unreachable
+  return action;
 }
 
 }  // namespace dsrt::sim

@@ -9,6 +9,7 @@
 namespace dsrt::system {
 
 Config config_from_flags(const util::Flags& flags) {
+  check_flags(flags);
   const std::string shape = flags.get("shape", std::string("serial"));
   Config cfg;
   if (shape == "serial") {
@@ -56,9 +57,6 @@ Config config_from_flags(const util::Flags& flags) {
     cfg.subtask_exec = spec.make(cfg.subtask_exec->mean());
   }
   cfg.trace = flags.get("trace", cfg.trace);
-  if (flags.has("event_queue"))
-    cfg.event_queue =
-        sim::parse_queue_mode(flags.get("event_queue", std::string()));
   if (flags.has("policy"))
     cfg.policy = sched::policy_by_name(flags.get("policy", std::string()));
   if (flags.has("abort"))
@@ -161,6 +159,28 @@ std::string joined_names(const std::vector<std::string_view>& names) {
 
 }  // namespace
 
+bool is_cli_flag(std::string_view name) {
+  // Every name cli_usage() documents; test_cli checks the two agree.
+  static constexpr std::string_view kNames[] = {
+      "shape", "load", "frac_local", "nodes", "m", "rel_flex", "ssp", "psp",
+      "load_model", "lm_tau", "placement", "policy", "abort", "arrivals",
+      "service", "trace", "faults", "smin", "smax", "pex_err", "m_min",
+      "m_max", "sp_stages", "sp_prob", "sp_width", "links", "hop",
+      "periodic", "preempt", "probes", "horizon", "warmup", "seed", "quick",
+      "reps", "jobs", "emit", "out", "trace_out", "capture", "fingerprint",
+      "zip"};
+  if (name.rfind("sweep_", 0) == 0) return true;
+  for (const std::string_view known : kNames)
+    if (name == known) return true;
+  return false;
+}
+
+void check_flags(const util::Flags& flags) {
+  for (const auto& [name, value] : flags.all())
+    if (!is_cli_flag(name))
+      throw std::invalid_argument("unknown flag --" + name);
+}
+
 std::string cli_usage() {
   return
       "flags (all optional; defaults are the Table-1 baseline):\n"
@@ -180,10 +200,6 @@ std::string cli_usage() {
       "                       power-of-d-choices (d rng samples, argmin\n"
       "                       queued pex; default d=2) — O(d) per decision;\n"
       "                       jsq-pex over --load_model=exact is O(log k)\n"
-      "  --event_queue=" + joined_names(sim::queue_mode_names()) + "\n"
-      "                       pending-set layout (adaptive = sorted or\n"
-      "                       ladder by occupancy; forced modes for A/B).\n"
-      "                       Pop order is identical in every mode\n"
       "  --policy=EDF|MLF|FCFS|SJF --abort=NoAbort|AbortTardy|AbortHopeless\n"
       "  --arrivals=" + joined_names(workload::arrival_kind_names()) + "\n"
       "                       arrival process of the task streams. batch:<n>\n"

@@ -146,8 +146,6 @@ std::string Config::describe() const {
     os << " load_model=" << load_model.describe();
   if (placement.kind != core::PlacementKind::Static)
     os << " placement=" << placement.describe();
-  if (event_queue != sim::QueueMode::Adaptive)
-    os << " event_queue=" << sim::queue_mode_name(event_queue);
   if (faults.any()) os << " faults=" << faults.describe();
   return os.str();
 }

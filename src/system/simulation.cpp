@@ -37,13 +37,11 @@ SimulationRun::SimulationRun(const Config& config, std::uint64_t replication)
   // the network as extra processing nodes with the same scheduler kind).
   const std::size_t total_nodes = cfg_.nodes + cfg_.link_nodes;
 
-  // Event-queue discipline + proportional reserve: a k-node run keeps
-  // ~2k+2 events pending (one completion + one arrival timer per source),
-  // so pre-sizing here moves every growth reallocation of the pending set
-  // out of the run entirely — part of the zero-steady-state-allocation
-  // contract at k >= 1024. Must precede any scheduling (a forced layout
-  // applies from the first push).
-  sim_.configure_queue(cfg_.event_queue, 2 * total_nodes + 64);
+  // Proportional reserve: a k-node run keeps ~2k+2 events pending (one
+  // completion + one arrival timer per source), so pre-sizing here moves
+  // every growth reallocation of the pending set out of the run entirely
+  // — part of the zero-steady-state-allocation contract at k >= 1024.
+  sim_.reserve_queue(2 * total_nodes + 64);
 
   nodes_.reserve(total_nodes);
   for (std::size_t i = 0; i < total_nodes; ++i) {

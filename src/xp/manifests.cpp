@@ -157,13 +157,14 @@ Manifest abl_scale_quick_manifest() {
   return study(
       "abl_scale_quick",
       "Scale ablation (quick grid): k x placement at constant per-node "
-      "load; horizon shrinks 24/k past k=24 so the event budget per point "
-      "stays flat (mirrors bench_abl_scale --quick)",
+      "load up to k=4096; horizon shrinks 24/k past k=24 so the event "
+      "budget per point stays flat",
       base,
       [] {
         SweepGrid grid;
         std::vector<Choice> ks;
-        for (std::size_t k : {std::size_t{64}, std::size_t{256}}) {
+        for (std::size_t k : {std::size_t{64}, std::size_t{256},
+                              std::size_t{1024}, std::size_t{4096}}) {
           ks.emplace_back(std::to_string(k), [k](Config& cfg) {
             cfg.nodes = k;
             // Relative to the base horizon, so run control composes.

@@ -27,7 +27,6 @@
 #include "dsrt/sched/node.hpp"
 #include "dsrt/trace/recorder.hpp"
 #include "dsrt/sched/policy.hpp"
-#include "dsrt/sim/event_queue.hpp"
 #include "dsrt/sim/rng.hpp"
 #include "dsrt/sim/simulator.hpp"
 #include "dsrt/system/baseline.hpp"
@@ -183,8 +182,8 @@ TEST(AllocSteadyState, AttachedObserversStayBounded) {
       << " tasks";
 }
 
-/// The big-config system: k=1024 nodes, forced-ladder event queue (~2050
-/// events stay pending, past the bucket threshold), pod:2 (or another)
+/// The big-config system: k=1024 nodes, whose ~2050 pending events keep
+/// the event queue in its ladder tier, pod:2 (or another)
 /// placement over an exact load board, deferred eligible-set specs.
 /// Hand-wired like Fig2System, mirroring SimulationRun's proportional
 /// reserves.
@@ -205,8 +204,7 @@ struct ScaleSystem {
   explicit ScaleSystem(const char* placement_name = "pod:2") {
     system::Config cfg = system::baseline_ssp();
     cfg.nodes = kNodes;
-    // Before the first push: a forced layout applies from event one.
-    sim.configure_queue(sim::QueueMode::Ladder, 2 * kNodes + 64);
+    sim.reserve_queue(2 * kNodes + 64);
     placement = core::make_placement(
         core::PlacementSpec::parse(placement_name), cfg.seed);
     for (std::size_t i = 0; i < kNodes; ++i) {
@@ -261,6 +259,13 @@ struct ScaleSystem {
   }
 };
 
+/// The measured cycles run on the ladder tier, not the sorted one: the
+/// queue has entered it and is deeper than the sorted tier's bound.
+void expect_in_ladder(const ScaleSystem& s) {
+  EXPECT_GE(s.sim.queue().mode_flips(), 1u);
+  EXPECT_GT(s.sim.pending(), 64u);
+}
+
 TEST(AllocSteadyState, BigConfigLadderPodCycleAllocatesNothing) {
   // The k>=1024 acceptance bar of the scaling PR: with the ladder queue
   // holding ~2050 pending events, pod:2 sampling every global stage, and
@@ -277,6 +282,7 @@ TEST(AllocSteadyState, BigConfigLadderPodCycleAllocatesNothing) {
   // run is fixed-seed deterministic, so the window is reproducible.
   s.sim.run(800.0);
   ASSERT_GT(s.metrics.global.generated, 10000u);
+  expect_in_ladder(s);
 
   const std::uint64_t allocs_before = dsrt::testing::allocation_count();
   const std::uint64_t frees_before = dsrt::testing::deallocation_count();
@@ -305,6 +311,7 @@ TEST(AllocSteadyState, BigConfigLadderJsqPexCycleAllocatesNothing) {
   s.sim.run(800.0);
   ASSERT_GT(s.metrics.global.generated, 10000u);
   ASSERT_GT(s.model.reads(), 10000u);
+  expect_in_ladder(s);
 
   const std::uint64_t allocs_before = dsrt::testing::allocation_count();
   const std::uint64_t frees_before = dsrt::testing::deallocation_count();

@@ -1,6 +1,8 @@
 // Tests for the flag-to-Config mapping used by the generic CLI.
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <string>
 #include <vector>
 
 #include "dsrt/system/cli.hpp"
@@ -191,6 +193,41 @@ TEST(Cli, UsageAndErrorsAreGeneratedFromTheStrategyRegistry) {
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("DIVA"), std::string::npos);
   }
+}
+
+TEST(Cli, UnknownFlagsAreRejected) {
+  // A typo must not run as the default configuration.
+  EXPECT_THROW(parse({"--lod=0.8"}), std::invalid_argument);
+  EXPECT_THROW(parse({"--event_queue=heap"}), std::invalid_argument);
+  try {
+    parse({"--load=0.3", "--lod=0.8"});
+    FAIL() << "expected invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()), "unknown flag --lod");
+  }
+  // Run control and sweep axes are part of the vocabulary.
+  EXPECT_NO_THROW(parse({"--reps=3", "--jobs=2", "--emit=json", "--zip",
+                         "--sweep_load=0.2,0.4", "--quick"}));
+}
+
+TEST(Cli, EveryFlagTheUsageDocumentsIsAccepted) {
+  // The accepted vocabulary and the help text cannot drift apart: every
+  // --name token of cli_usage() is a known flag.
+  const std::string usage = system::cli_usage();
+  std::size_t tokens = 0;
+  for (std::size_t at = usage.find("--"); at != std::string::npos;
+       at = usage.find("--", at + 2)) {
+    std::size_t end = at + 2;
+    while (end < usage.size() &&
+           (std::islower(static_cast<unsigned char>(usage[end])) ||
+            usage[end] == '_'))
+      ++end;
+    const std::string name = usage.substr(at + 2, end - at - 2);
+    EXPECT_TRUE(system::is_cli_flag(name)) << "--" << name;
+    ++tokens;
+  }
+  EXPECT_GT(tokens, 40u);
+  EXPECT_FALSE(system::is_cli_flag("event_queue"));
 }
 
 }  // namespace

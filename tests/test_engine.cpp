@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <fstream>
 #include <sstream>
 #include <vector>
 
@@ -314,22 +313,6 @@ TEST(Emit, TablesCsvAndJsonAgreeOnShape) {
   const std::string json = engine::sweep_json(sweep);
   EXPECT_NE(json.find("\"axes\":[\"load\",\"ssp\"]"), std::string::npos);
   EXPECT_NE(json.find("\"replications\":2"), std::string::npos);
-
-  const std::string artifact =
-      engine::bench_artifact_json("unit_test", sweep);
-  EXPECT_NE(artifact.find("\"name\":\"unit_test\""), std::string::npos);
-  EXPECT_NE(artifact.find("\"points\":4"), std::string::npos);
-  EXPECT_NE(artifact.find("\"total_runs\":8"), std::string::npos);
-  EXPECT_NE(artifact.find("runs_per_second"), std::string::npos);
-  // The artifact carries the headline result grid: one labeled record per
-  // point, so BENCH_*.json alone can back cross-point comparisons.
-  EXPECT_NE(artifact.find("\"axes\":[\"load\",\"ssp\"]"), std::string::npos);
-  EXPECT_NE(artifact.find("\"labels\":[\"0.2\",\"UD\"]"), std::string::npos);
-  std::size_t md_records = 0;
-  for (std::size_t at = artifact.find("\"md_overall\"");
-       at != std::string::npos; at = artifact.find("\"md_overall\"", at + 1))
-    ++md_records;
-  EXPECT_EQ(md_records, 4u);
 }
 
 TEST(Emit, PivotTableRejectsZippedSweep) {
@@ -384,45 +367,6 @@ TEST(Emit, PivotTableStacksRowAxesAndPlacesEveryAxisOnce) {
                  std::invalid_argument)
         << column;
   }
-}
-
-TEST(Emit, WriteBenchArtifactCreatesFile) {
-  const auto sweep = small_sweep();
-  const std::string path = engine::write_bench_artifact(
-      "engine_unit", sweep, ::testing::TempDir());
-  std::ifstream file(path);
-  ASSERT_TRUE(file.good()) << path;
-  std::string body((std::istreambuf_iterator<char>(file)),
-                   std::istreambuf_iterator<char>());
-  EXPECT_NE(body.find("\"name\":\"engine_unit\""), std::string::npos);
-}
-
-TEST(Emit, MicrobenchArtifactListsEntriesWithRates) {
-  const std::vector<engine::BenchEntry> entries = {
-      {"event_queue_churn_64", "events", 1000000.0, 0.5},
-      {"end_to_end_fig2", "events", 800000.0, 0.1},
-  };
-  const std::string json = engine::microbench_json("kernel", entries);
-  EXPECT_NE(json.find("\"name\":\"kernel\""), std::string::npos);
-  EXPECT_NE(json.find("\"name\":\"event_queue_churn_64\""),
-            std::string::npos);
-  EXPECT_NE(json.find("\"unit\":\"events\""), std::string::npos);
-  EXPECT_NE(json.find("\"rate\":2e+06"), std::string::npos);  // 1e6 / 0.5
-  EXPECT_NE(json.find("\"rate\":8e+06"), std::string::npos);  // 8e5 / 0.1
-
-  const std::string path = engine::write_microbench_artifact(
-      "kernel_unit", entries, ::testing::TempDir());
-  std::ifstream file(path);
-  ASSERT_TRUE(file.good()) << path;
-  std::string body((std::istreambuf_iterator<char>(file)),
-                   std::istreambuf_iterator<char>());
-  EXPECT_EQ(body, engine::microbench_json("kernel_unit", entries));
-  EXPECT_NE(path.find("BENCH_kernel_unit.json"), std::string::npos);
-}
-
-TEST(Emit, MicrobenchRateGuardsZeroWall) {
-  const engine::BenchEntry e{"x", "events", 100.0, 0.0};
-  EXPECT_EQ(e.rate(), 0.0);
 }
 
 }  // namespace

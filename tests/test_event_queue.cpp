@@ -1,6 +1,6 @@
 // Unit tests for the pending-event set: ordering, tie-breaking, counters,
-// slot recycling, and order equivalence of the sorted, ladder and heap
-// layouts.
+// slot recycling, and the pop order of both tiers (sorted and ladder)
+// against a reference priority queue.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -8,7 +8,8 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
-#include <stdexcept>
+#include <queue>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -118,8 +119,8 @@ TEST(EventQueue, InterleavedChurnMatchesReferenceOrder) {
 
 TEST(EventQueue, HandlesManyEvents) {
   EventQueue q;
-  // Reverse insertion order stresses the heap (and, past the ladder
-  // threshold, the bucket redistribution).
+  // Reverse insertion order stresses the sorted tier's insertion step
+  // and, past its bound, the ladder's bucket redistribution.
   for (int i = 10000; i > 0; --i)
     q.push(static_cast<double>(i), [] {});
   double last = 0;
@@ -130,152 +131,113 @@ TEST(EventQueue, HandlesManyEvents) {
   }
 }
 
-// --- queue modes (sorted / heap / ladder layouts) -------------------------
+// --- tiers (sorted array / ladder) against a reference ---------------------
 
-using dsrt::sim::QueueMode;
-
-TEST(QueueMode, ParseMatchesRegistryVocabulary) {
-  EXPECT_EQ(dsrt::sim::parse_queue_mode("adaptive"), QueueMode::Adaptive);
-  EXPECT_EQ(dsrt::sim::parse_queue_mode("sorted"), QueueMode::Sorted);
-  EXPECT_EQ(dsrt::sim::parse_queue_mode("heap"), QueueMode::Heap);
-  EXPECT_EQ(dsrt::sim::parse_queue_mode("ladder"), QueueMode::Ladder);
-  // Every advertised name parses, and every mode round-trips through its
-  // name — the --help vocabulary can never drift from the parser.
-  for (const auto name : dsrt::sim::queue_mode_names())
-    EXPECT_EQ(dsrt::sim::queue_mode_name(dsrt::sim::parse_queue_mode(name)),
-              name);
-  EXPECT_THROW(dsrt::sim::parse_queue_mode(""), std::invalid_argument);
-  EXPECT_THROW(dsrt::sim::parse_queue_mode("lader"), std::invalid_argument);
-  // Modes are parameterless; a colon is a malformed spec, not a request
-  // for a default.
-  EXPECT_THROW(dsrt::sim::parse_queue_mode("ladder:128"),
-               std::invalid_argument);
-  EXPECT_THROW(dsrt::sim::parse_queue_mode("heap:"), std::invalid_argument);
-}
-
-TEST(QueueMode, SetModeRequiresEmptyQueue) {
-  EventQueue q;
-  q.set_mode(QueueMode::Ladder);  // fine while empty
-  EXPECT_EQ(q.mode(), QueueMode::Ladder);
-  q.push(1.0, [] {});
-  EXPECT_THROW(q.set_mode(QueueMode::Heap), std::logic_error);
-  q.pop();
-  q.set_mode(QueueMode::Heap);  // fine again once drained
-  EXPECT_EQ(q.mode(), QueueMode::Heap);
-}
-
-/// Replays one deterministic deep-churn schedule (pushes/pops, heavy ties,
-/// occasional +inf timers) against a queue in `mode` and returns the fired
-/// ids in pop order.
-std::vector<int> churn_trace(QueueMode mode) {
-  EventQueue q;
-  q.set_mode(mode);
-  dsrt::sim::Rng rng(777);
-  std::vector<int> fired;
-  int next_id = 0;
-  // Deep fill first, so forced-ladder runs spend most of the churn past
-  // the bucket threshold (re-seeds included: times are quantized into few
-  // distinct values, clustering whole epochs into single buckets).
-  for (int i = 0; i < 9000; ++i) {
-    double at = std::floor(rng.uniform01() * 50.0);
-    if (next_id % 997 == 0) at = std::numeric_limits<double>::infinity();
-    const int id = next_id++;
-    q.push(at, [id, &fired] { fired.push_back(id); });
+/// Order oracle: a binary heap over (time, seq, id), seq counting pushes
+/// the way EventQueue does, so ties fire in insertion order.
+class ReferenceQueue {
+ public:
+  void push(double at, int id) { heap_.emplace(at, next_seq_++, id); }
+  double next_time() const { return std::get<0>(heap_.top()); }
+  int pop() {
+    const int id = std::get<2>(heap_.top());
+    heap_.pop();
+    return id;
   }
-  // The schedule is a pure function of the loop index (no data-dependent
-  // control flow), so every mode sees bit-identical (time, seq) inputs.
-  for (int round = 0; round < 30000; ++round) {
-    if (round % 3 != 0) {
-      const double at = 50.0 + std::floor(rng.uniform01() * 50.0);
-      const int id = next_id++;
-      q.push(at, [id, &fired] { fired.push_back(id); });
-    } else if (!q.empty()) {
-      q.pop()();
-    }
-  }
-  while (!q.empty()) q.pop()();
-  EXPECT_EQ(fired.size(), static_cast<std::size_t>(next_id));
-  return fired;
-}
+  bool empty() const { return heap_.empty(); }
 
-TEST(QueueMode, EveryLayoutPopsTheIdenticalOrder) {
-  // The layout is a pure representation choice: heap, ladder, and the
-  // adaptive switcher must fire the exact same (time, seq) total order on
-  // the same schedule. This is the contract that makes --event_queue
-  // trajectory-invariant (goldens can never move).
-  const std::vector<int> heap = churn_trace(QueueMode::Heap);
-  const std::vector<int> ladder = churn_trace(QueueMode::Ladder);
-  const std::vector<int> adaptive = churn_trace(QueueMode::Adaptive);
-  ASSERT_EQ(heap.size(), ladder.size());
-  EXPECT_EQ(heap, ladder);
-  EXPECT_EQ(heap, adaptive);
-}
-
-/// Fired ids and layout counters of one hold-churn replay.
-struct HoldTrace {
-  std::vector<int> fired;
-  std::uint64_t mode_flips = 0;
-  std::uint64_t ladder_spills = 0;
+ private:
+  using Item = std::tuple<double, std::uint64_t, int>;
+  std::priority_queue<Item, std::vector<Item>, std::greater<Item>> heap_;
+  std::uint64_t next_seq_ = 0;
 };
 
-/// Replays a simulation-like schedule against a queue in `mode`: cycles
-/// that grow the pending set past the sorted/ladder boundary (each step
-/// pops the earliest event, then pushes an arrival-like timer and a
-/// completion-like event just after now) and drain it back below the
-/// low-water mark. A few far-future timers widen the ladder's head bucket
-/// to several time units, so the completions land in its front. Offsets
-/// are quantized to sixteenths, so equal-time ties are common, including
-/// ties at exactly `now` inside the front.
-HoldTrace hold_churn_trace(QueueMode mode) {
+/// An EventQueue run in lockstep with a ReferenceQueue: every pop must
+/// fire the id the reference pops, at the reference's time.
+struct CheckedQueue {
   EventQueue q;
-  q.set_mode(mode);
-  dsrt::sim::Rng rng(4242);
-  HoldTrace trace;
+  ReferenceQueue ref;
+  std::vector<int> fired;
   int next_id = 0;
-  double now = 0;
-  const auto push = [&](double at) {
+
+  void push(double at) {
     const int id = next_id++;
-    q.push(at, [id, &trace] { trace.fired.push_back(id); });
-  };
-  const auto pop = [&] {
-    now = q.next_time();
+    q.push(at, [this, id] { fired.push_back(id); });
+    ref.push(at, id);
+  }
+  /// Pops the earliest event and returns its time.
+  double pop() {
+    const double at = q.next_time();
+    EXPECT_EQ(at, ref.next_time());
     q.pop()();
-  };
-  for (int cycle = 0; cycle < 40; ++cycle) {
-    const std::size_t peak = 70 + static_cast<std::size_t>(cycle % 5) * 40;
-    while (q.size() < peak) {
-      const double far = rng.uniform01() < 0.05 ? 1000.0 : 1.0;
-      push(now + far + std::floor(rng.uniform01() * 64.0) / 8.0);
-      if (!q.empty()) pop();
-      push(now + std::floor(rng.uniform01() * 4.0) / 16.0);
-    }
-    while (q.size() > 8) {
-      pop();
-      if (rng.uniform01() < 0.3)
-        push(now + std::floor(rng.uniform01() * 4.0) / 16.0);
+    EXPECT_EQ(fired.back(), ref.pop());
+    return at;
+  }
+  void drain() {
+    while (!q.empty()) pop();
+    EXPECT_TRUE(ref.empty());
+    EXPECT_EQ(fired.size(), static_cast<std::size_t>(next_id));
+  }
+};
+
+TEST(QueueTiers, DeepChurnPopsTheReferenceOrder) {
+  // One deterministic deep-churn schedule (pushes/pops, heavy ties,
+  // occasional +inf timers). The deep fill keeps all of the churn in the
+  // ladder: times are quantized into few distinct values, so every
+  // spilled bucket is one long run of equal times.
+  CheckedQueue c;
+  dsrt::sim::Rng rng(777);
+  for (int i = 0; i < 9000; ++i) {
+    double at = std::floor(rng.uniform01() * 50.0);
+    if (c.next_id % 997 == 0) at = std::numeric_limits<double>::infinity();
+    c.push(at);
+  }
+  for (int round = 0; round < 30000; ++round) {
+    if (round % 3 != 0) {
+      c.push(50.0 + std::floor(rng.uniform01() * 50.0));
+    } else if (!c.q.empty()) {
+      c.pop();
     }
   }
-  while (!q.empty()) pop();
-  EXPECT_EQ(trace.fired.size(), static_cast<std::size_t>(next_id));
-  trace.mode_flips = q.mode_flips();
-  trace.ladder_spills = q.ladder_spills();
-  return trace;
+  EXPECT_EQ(c.q.mode_flips(), 1u);  // into the ladder, and still there
+  EXPECT_GE(c.q.ladder_epochs(), 1u);
+  c.drain();
+  EXPECT_EQ(c.q.mode_flips(), 2u);  // drained back into the sorted tier
 }
 
-TEST(QueueMode, HoldChurnAcrossTheBoundaryPopsTheIdenticalOrder) {
-  const HoldTrace heap = hold_churn_trace(QueueMode::Heap);
-  const HoldTrace ladder = hold_churn_trace(QueueMode::Ladder);
-  const HoldTrace adaptive = hold_churn_trace(QueueMode::Adaptive);
-  EXPECT_EQ(heap.fired, ladder.fired);
-  EXPECT_EQ(heap.fired, adaptive.fired);
-  // Every cycle crosses the boundary both ways in adaptive mode; the
-  // forced heap never changes layout.
-  EXPECT_EQ(adaptive.mode_flips, 80u);
-  EXPECT_EQ(heap.mode_flips, 0u);
-  EXPECT_GT(adaptive.ladder_spills, 40u);
+TEST(QueueTiers, HoldChurnAcrossTheBoundaryPopsTheReferenceOrder) {
+  // A simulation-like schedule: cycles that grow the pending set past the
+  // sorted/ladder boundary (each step pops the earliest event, then
+  // pushes an arrival-like timer and a completion-like event just after
+  // now) and drain it back below the low-water mark. A few far-future
+  // timers widen the ladder's head bucket to several time units, so the
+  // completions land in its front. Offsets are quantized to sixteenths,
+  // so equal-time ties are common, including ties at exactly `now` inside
+  // the front.
+  CheckedQueue c;
+  dsrt::sim::Rng rng(4242);
+  double now = 0;
+  for (int cycle = 0; cycle < 40; ++cycle) {
+    const std::size_t peak = 70 + static_cast<std::size_t>(cycle % 5) * 40;
+    while (c.q.size() < peak) {
+      const double far = rng.uniform01() < 0.05 ? 1000.0 : 1.0;
+      c.push(now + far + std::floor(rng.uniform01() * 64.0) / 8.0);
+      if (!c.q.empty()) now = c.pop();
+      c.push(now + std::floor(rng.uniform01() * 4.0) / 16.0);
+    }
+    while (c.q.size() > 8) {
+      now = c.pop();
+      if (rng.uniform01() < 0.3)
+        c.push(now + std::floor(rng.uniform01() * 4.0) / 16.0);
+    }
+  }
+  c.drain();
+  // Every cycle crosses the boundary both ways.
+  EXPECT_EQ(c.q.mode_flips(), 80u);
+  EXPECT_GT(c.q.ladder_spills(), 40u);
 }
 
-TEST(QueueMode, AdaptiveEntersLadderPastThresholdAndExitsOnDrain) {
+TEST(QueueTiers, EntersLadderPastThresholdAndExitsOnDrain) {
   EventQueue q;
   for (int i = 0; i < 6000; ++i)
     q.push(static_cast<double>(i % 100), [] {});
@@ -291,63 +253,50 @@ TEST(QueueMode, AdaptiveEntersLadderPastThresholdAndExitsOnDrain) {
   }
   // Draining through the low-water mark returns to the sorted tier.
   EXPECT_EQ(q.mode_flips(), 2u);
-  EXPECT_EQ(q.mode(), QueueMode::Adaptive);  // policy never changes
 }
 
-TEST(QueueMode, LadderReseedsAFrontThatOutgrewItsEpoch) {
+TEST(QueueTiers, LadderReseedsAFrontThatOutgrewItsEpoch) {
   // A burst of near-now pushes (say, one batch of arrivals) all fire
   // before the front's latest entry, so all join the front. Rather than
   // grow one long sorted front, paying a memmove per push, the ladder
   // must re-seed at the grown density, and keep the exact order.
-  const auto trace = [](QueueMode mode, std::uint64_t* epochs) {
-    EventQueue q;
-    q.set_mode(mode);
-    dsrt::sim::Rng rng(5);
-    std::vector<int> fired;
-    int id = 0;
-    const auto push = [&](double at) {
-      const int i = id++;
-      q.push(at, [i, &fired] { fired.push_back(i); });
-    };
-    for (int i = 0; i < 64; ++i) push(1.0 + i);
-    for (int i = 0; i < 4000; ++i)
-      push(std::floor(rng.uniform01() * 64.0) / 64.0);
-    *epochs = q.ladder_epochs();
-    while (!q.empty()) q.pop()();
-    return fired;
-  };
-  std::uint64_t epochs = 0;
-  std::uint64_t heap_epochs = 0;
-  EXPECT_EQ(trace(QueueMode::Ladder, &epochs),
-            trace(QueueMode::Heap, &heap_epochs));
-  // No pop ran, so every epoch after the first is a front re-seed.
-  EXPECT_GT(epochs, 1u);
+  CheckedQueue c;
+  dsrt::sim::Rng rng(5);
+  for (int i = 0; i < 65; ++i) c.push(1.0 + i);  // the 65th enters the ladder
+  const std::uint64_t entry_epochs = c.q.ladder_epochs();
+  for (int i = 0; i < 4000; ++i)
+    c.push(std::floor(rng.uniform01() * 64.0) / 64.0);
+  // No pop ran, so every epoch after the ladder entry is a front re-seed.
+  EXPECT_EQ(c.q.mode_flips(), 1u);
+  EXPECT_GT(c.q.ladder_epochs(), entry_epochs);
+  c.drain();
 }
 
-TEST(QueueMode, LadderKeepsFifoOnAllEqualTimes) {
-  // Degenerate span (every event at one instant): the epoch width guard
-  // must keep redistribution terminating and the seq tie-break exact.
+TEST(QueueTiers, LadderKeepsFifoOnAllEqualTimes) {
+  // Degenerate span (every event at one instant, deep enough for the
+  // ladder): the epoch width guard must keep redistribution terminating
+  // and the seq tie-break exact.
   EventQueue q;
-  q.set_mode(QueueMode::Ladder);
   std::vector<int> fired;
   for (int i = 0; i < 5000; ++i)
     q.push(7.0, [i, &fired] { fired.push_back(i); });
+  EXPECT_EQ(q.mode_flips(), 1u);
   while (!q.empty()) q.pop()();
   ASSERT_EQ(fired.size(), 5000u);
   for (int i = 0; i < 5000; ++i) EXPECT_EQ(fired[static_cast<size_t>(i)], i);
 }
 
-TEST(QueueMode, LadderOrdersInfiniteTimersLast) {
+TEST(QueueTiers, LadderOrdersInfiniteTimersLast) {
   // Horizon-guard timers at +inf must sort after every finite event and
   // keep FIFO among themselves (they ride the overflow/re-seed path).
   EventQueue q;
-  q.set_mode(QueueMode::Ladder);
   std::vector<int> fired;
   const double inf = std::numeric_limits<double>::infinity();
   for (int i = 0; i < 300; ++i) {
     q.push(inf, [i, &fired] { fired.push_back(1000000 + i); });
     q.push(static_cast<double>(300 - i), [i, &fired] { fired.push_back(i); });
   }
+  EXPECT_EQ(q.mode_flips(), 1u);
   while (!q.empty()) q.pop()();
   ASSERT_EQ(fired.size(), 600u);
   for (int i = 0; i < 300; ++i)
@@ -356,7 +305,7 @@ TEST(QueueMode, LadderOrdersInfiniteTimersLast) {
     EXPECT_EQ(fired[static_cast<size_t>(300 + i)], 1000000 + i);  // FIFO
 }
 
-TEST(QueueMode, ReserveDoesNotDisturbOrderOrCounters) {
+TEST(QueueTiers, ReserveDoesNotDisturbOrderOrCounters) {
   EventQueue q;
   q.reserve(1 << 14);
   std::vector<int> order;

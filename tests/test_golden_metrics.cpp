@@ -242,4 +242,35 @@ TEST(GoldenMetrics, Fig2UdLoad05PreemptiveRep0) {
   EXPECT_EQ(m.mean_utilization, 0x1.fffe93c4b5afbp-2);
 }
 
+TEST(GoldenMetrics, Fig2UdK128LadderRep0) {
+  // k=128 keeps ~258 events pending, so the run lives in the event
+  // queue's ladder tier. Captured when a forced 4-ary heap still existed
+  // and this exact run was asserted equal to it (and to a forced ladder):
+  // the ladder pops the heap's (time, seq) order bit for bit.
+  system::Config cfg = system::baseline_ssp();
+  cfg.nodes = 128;
+  cfg.horizon = 4000;
+  cfg.load = 0.6;
+  cfg.probes = true;
+  const system::RunMetrics m = system::simulate(cfg, 0);
+  EXPECT_GE(m.counters.value_or("sim.queue.mode_flips"), 1.0);
+  EXPECT_EQ(m.events, 555330u);
+  EXPECT_EQ(m.local.generated, 230351u);
+  EXPECT_EQ(m.global.generated, 18977u);
+  EXPECT_EQ(m.local.missed.trials(), 230219u);
+  EXPECT_EQ(m.local.missed.hits(), 72047u);
+  EXPECT_EQ(m.global.missed.trials(), 18930u);
+  EXPECT_EQ(m.global.missed.hits(), 11386u);
+  EXPECT_EQ(m.local.response.mean(), 0x1.16ea1c8df5afep+1);
+  EXPECT_EQ(m.global.response.mean(), 0x1.59adeebda334cp+3);
+  EXPECT_EQ(m.global.response.variance(), 0x1.d73d20f4c620fp+4);
+  EXPECT_EQ(m.local.lateness.mean(), -0x1.9152d6d4ba5eap-3);
+  EXPECT_EQ(m.global.lateness.mean(), 0x1.4cee3bf191165p+0);
+  EXPECT_EQ(m.subtask_wait.count(), 75783u);
+  EXPECT_EQ(m.subtask_wait.mean(), 0x1.b2a303d09a2p+0);
+  EXPECT_EQ(m.local_wait.count(), 230219u);
+  EXPECT_EQ(m.local_wait.mean(), 0x1.2e7f35b404d39p+0);
+  EXPECT_EQ(m.mean_utilization, 0x1.31b2b0ddb7ef4p-1);
+}
+
 }  // namespace

@@ -952,10 +952,9 @@ TEST(PlacementSystem, IdleBoardJsqMatchesStaticAtDistributionLevel) {
 }
 
 TEST(PlacementSystem, JsqBeatsStaticTowardSaturation) {
-  // The acceptance property behind BENCH_placement.json, pinned at test
-  // scale: routing to the shortest pex queue lowers the pooled miss ratio
-  // at load 0.85 (deterministic seeds; this is a regression guard, the
-  // bench explores the full grid).
+  // Routing to the shortest pex queue lowers the pooled miss ratio at
+  // load 0.85 (deterministic seeds; a regression guard at test scale, the
+  // abl_placement manifest explores the full grid).
   system::Config cfg = system::baseline_ssp();
   cfg.horizon = 100000;
   cfg.load = 0.85;
@@ -976,7 +975,7 @@ TEST(PlacementSystem, PodBeatsStaticTowardSaturation) {
   // Mitzenmacher's two-choices property at test scale: sampling just d=2
   // queues captures most of jsq's miss-ratio gain over the static draw —
   // at O(d) per decision, with no board index. Deterministic seeds; the
-  // abl_scale bench explores the crossover at real k.
+  // abl_scale_quick manifest explores the crossover at real k.
   system::Config cfg = system::baseline_ssp();
   cfg.horizon = 100000;
   cfg.load = 0.85;
@@ -1008,57 +1007,6 @@ TEST(PlacementSystem, PodIsReproduciblePerReplication) {
   EXPECT_EQ(a.global.response.mean(), b.global.response.mean());
   const auto other = system::simulate(cfg, 1);
   EXPECT_NE(a.global.response.mean(), other.global.response.mean());
-}
-
-// --- Event-queue modes at system level ------------------------------------
-
-TEST(EventQueueSystem, LayoutIsTrajectoryInvariant) {
-  // The tentpole contract: --event_queue changes the pending-set data
-  // structure, never the trajectory. A k=128 run keeps ~258 events pending
-  // (past the forced-ladder bucket threshold), and every layout must
-  // produce the bit-identical run.
-  system::Config cfg = system::baseline_ssp();
-  cfg.nodes = 128;
-  cfg.horizon = 4000;
-  cfg.load = 0.6;
-  cfg.event_queue = sim::QueueMode::Heap;
-  const auto heap = system::simulate(cfg, 0);
-  cfg.event_queue = sim::QueueMode::Ladder;
-  const auto ladder = system::simulate(cfg, 0);
-  cfg.event_queue = sim::QueueMode::Adaptive;
-  const auto adaptive = system::simulate(cfg, 0);
-  EXPECT_EQ(heap.events, ladder.events);
-  EXPECT_EQ(heap.events, adaptive.events);
-  EXPECT_EQ(heap.global.response.mean(), ladder.global.response.mean());
-  EXPECT_EQ(heap.local.response.mean(), ladder.local.response.mean());
-  EXPECT_EQ(heap.global.response.mean(), adaptive.global.response.mean());
-  EXPECT_EQ(heap.mean_utilization, ladder.mean_utilization);
-}
-
-TEST(EventQueueSystem, CliFlagAndSweepAxisWireTheMode) {
-  std::vector<const char*> argv = {"prog", "--event_queue=ladder"};
-  const util::Flags flags(static_cast<int>(argv.size()), argv.data());
-  EXPECT_EQ(system::config_from_flags(flags).event_queue,
-            sim::QueueMode::Ladder);
-  // Usage advertises the registry vocabulary.
-  const std::string usage = system::cli_usage();
-  for (const auto name : sim::queue_mode_names())
-    EXPECT_NE(usage.find(std::string(name)), std::string::npos) << name;
-  // Sweep axis mutates the config field (and rejects junk up front).
-  const auto axis =
-      engine::SweepAxis::by_field("event_queue", {"heap", "adaptive"});
-  system::Config cfg = system::baseline_ssp();
-  axis.apply[0](cfg);
-  EXPECT_EQ(cfg.event_queue, sim::QueueMode::Heap);
-  axis.apply[1](cfg);
-  EXPECT_EQ(cfg.event_queue, sim::QueueMode::Adaptive);
-  EXPECT_THROW(engine::SweepAxis::by_field("event_queue", {"lader"}),
-               std::invalid_argument);
-  // A non-default mode shows up in the config description (provenance of
-  // emitted artifacts); the default stays silent.
-  EXPECT_EQ(cfg.describe().find("event_queue"), std::string::npos);
-  cfg.event_queue = sim::QueueMode::Ladder;
-  EXPECT_NE(cfg.describe().find("event_queue=ladder"), std::string::npos);
 }
 
 // --- Downstream-aware serial strategies (EQS-LD / EQF-LD) -----------------
