@@ -114,10 +114,10 @@ class Node {
   /// warm-up truncation). Counters are not reset.
   void reset_observation(sim::Time now);
 
-  /// Raises the ready-queue capacity reserve (never shrinks). The
-  /// simulation sizes this from the run's scale so big-k configs keep the
-  /// zero-steady-state-allocation contract without growth in the
-  /// measured window.
+  /// Raises the ready-queue capacity reserve (never shrinks). A node
+  /// reserves nothing itself; the simulation reserves a small fixed depth
+  /// (`SimulationRun::kReadyReserve`), and the queue grows only at new
+  /// high-water marks, so the warmed steady state allocates nothing.
   void reserve_ready(std::size_t depth) {
     if (depth > queue_.capacity()) queue_.reserve(depth);
   }
@@ -180,8 +180,8 @@ class Node {
   // (class rank, policy key, arrival sequence). The arrival sequence makes
   // every key unique, so the heap's pop order is a deterministic total
   // order — identical to the former `std::map` iteration order — while
-  // enqueue/dispatch stay allocation-free in steady state (the vector is
-  // reserved up front and grows only at new high-water marks).
+  // enqueue/dispatch stay allocation-free in steady state (the vector
+  // grows only at new high-water marks).
   std::vector<ReadyEntry> queue_;
   std::optional<Job> in_service_;
   QueueKey in_service_key_{};

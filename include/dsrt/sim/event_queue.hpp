@@ -23,8 +23,15 @@ enum class QueueMode : std::uint8_t { Adaptive };
 /// Implementation: 24-byte (time, seq, slot) entries, with the actions
 /// themselves parked in a slab indexed by `slot` so ordering operations
 /// never move a callback, and zero heap allocations per event in steady
-/// state (every backing vector is reserved up front and only grows when
-/// the pending set reaches a new high-water mark).
+/// state (the backing vectors grow only when the pending set reaches a
+/// new high-water mark; `reserve` pre-sizes them for a known depth).
+///
+/// Ladder-tier dispatch is software-pipelined: `pop` prefetches the
+/// action slot of the event two places ahead, and the object the next
+/// event's action captured first (`InlineAction::target_hint`), so at
+/// large k the cold slot, node and source lines of one event load while
+/// the previous one runs. Prefetches are hints only; they cannot change
+/// what fires.
 ///
 /// The entry storage adapts across two tiers:
 ///
@@ -133,9 +140,9 @@ class EventQueue {
   std::uint64_t ladder_epochs() const { return ladder_epochs_; }
 
  private:
-  /// Initial capacity: deep enough for every model in the repo (a k-node
-  /// run keeps ~k completions + k+1 arrivals pending), so the common case
-  /// never reallocates after construction.
+  /// Initial capacity: deep enough for the paper-scale models (a k-node
+  /// run keeps ~k completions + k+1 arrivals pending); the simulation
+  /// reserves ~2k for larger runs.
   static constexpr std::size_t kReserve = 256;
   /// Largest pending set kept sorted; beyond this the ladder takes over.
   /// At 64 entries the insertion memmove averages ~0.8 KB — still cheaper

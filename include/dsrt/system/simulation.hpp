@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <memory>
 #include <vector>
 
@@ -20,6 +21,12 @@ namespace dsrt::system {
 /// independent streams.
 class SimulationRun {
  public:
+  /// Ready-queue depth every node reserves, whatever k. A node's peak
+  /// depth follows its load and the parallel fan-in, not k (about 10 in
+  /// the k=4096 benchmark run); past this depth a queue grows at its new
+  /// high-water marks. Kept small so each node's state stays compact.
+  static constexpr std::size_t kReadyReserve = 8;
+
   /// `replication` selects an independent seed stream (the paper runs two
   /// independent replications per data point).
   explicit SimulationRun(const Config& config, std::uint64_t replication = 0);

@@ -28,7 +28,6 @@ Node::Node(core::NodeId id, sim::Simulator& sim, PolicyPtr policy,
   policy_is_edf_ =
       dynamic_cast<const EarliestDeadlineFirst*>(policy_.get()) != nullptr;
   abort_is_none_ = dynamic_cast<const NoAbort*>(abort_policy_.get()) != nullptr;
-  queue_.reserve(64);
 }
 
 void Node::set_completion_handler(CompletionHandler handler) {

@@ -270,6 +270,34 @@ EventQueue::Action EventQueue::pop() {
   if (layout_ == Layout::Ladder) {
     if (entries_.empty() && extra_ > 0) ladder_advance();
     if (size() <= kSortLowWater) exit_ladder();
+    // Software-pipelined dispatch (Chen, Ailamaki, Gibbons & Mowry, ICDE
+    // 2004): while the popped event runs, fetch the memory of the next
+    // two. At large k each event's slot, and the node or source its
+    // action runs on, is a cold line; touched on first use they stall the
+    // loop one miss after another. Stage one fetches the action slot of
+    // the event two places ahead (both lines: slots are not line-aligned).
+    // Stage two fetches the first two lines of the object the next
+    // event's action captured first; its slot was stage one of the
+    // previous pop, so reading the hint is a cache hit. A prefetch never
+    // faults and never changes what runs, so an arbitrary hint is
+    // harmless. Only the ladder tier (more than kArrayMax pending) pays
+    // for this: the sorted tier's few slots and targets stay in cache,
+    // and there the prefetches cost fig2_eqf ~5 % with no miss to hide.
+    // (Kept inline: as a separate function, link-time optimization
+    // proved it free of effects and deleted the call.)
+    const std::size_t n = entries_.size();
+    if (n >= 2) {
+      const auto* ahead =
+          reinterpret_cast<const char*>(&slots_[entries_[n - 2].slot]);
+      __builtin_prefetch(ahead);
+      __builtin_prefetch(ahead + sizeof(Action) - 1);
+    }
+    if (n >= 1) {
+      const auto target = reinterpret_cast<std::uintptr_t>(
+          slots_[entries_[n - 1].slot].target_hint());
+      __builtin_prefetch(reinterpret_cast<const void*>(target));
+      __builtin_prefetch(reinterpret_cast<const void*>(target + 64));
+    }
   }
   return action;
 }

@@ -43,15 +43,54 @@ SimulationRun::SimulationRun(const Config& config, std::uint64_t replication)
   // — part of the zero-steady-state-allocation contract at k >= 1024.
   sim_.reserve_queue(2 * total_nodes + 64);
 
+  // Workload sinks, shared by the generators, the trace replayer, and the
+  // optional capture hook (the writer branch is dead unless a writer is
+  // attached, so capture can never perturb an uncaptured run). They run
+  // only once the simulation does, after pm_ exists.
+  auto local_sink = [this](core::NodeId node, double exec, double pex,
+                           sim::Time deadline) {
+    if (trace_writer_)
+      trace_writer_->local(sim_.now(), node, exec, pex, deadline);
+    pm_->submit_local(node, exec, pex, deadline);
+  };
+  auto global_sink = [this](const core::TaskSpec& spec, sim::Time deadline) {
+    if (trace_writer_) trace_writer_->global(sim_.now(), spec, deadline);
+    pm_->submit_global(spec, deadline);
+  };
+
+  // Local-task streams (none under trace replay): homogeneous by default,
+  // or weighted per node (Section 4.3's "some nodes had higher local task
+  // loads than others"). With batched (bursty) arrivals the event rate
+  // drops by the batch mean so the offered load stays at the configured
+  // level.
+  const bool generated = cfg_.trace.empty();
+  const double total_rate =
+      cfg_.lambda_local_total() / cfg_.arrivals.batch_mean();
+  double weight_sum = 0;
+  for (double w : cfg_.local_weights) weight_sum += w;
+
+  // Node i and its local source (with its arrival process) are built in
+  // one pass, in node order, so the state an event at node i touches sits
+  // together on the heap rather than k allocations apart. Constructing a
+  // source draws nothing; each keeps its own stream and starts in node
+  // order from run().
   nodes_.reserve(total_nodes);
+  if (generated) local_sources_.reserve(cfg_.nodes);
   for (std::size_t i = 0; i < total_nodes; ++i) {
     nodes_.push_back(std::make_unique<sched::Node>(
         static_cast<core::NodeId>(i), sim_, cfg_.policy, cfg_.abort_policy,
         cfg_.preemption));
-    // Per-node ready depth scales with load and parallel fan-in, not with
-    // k; the bump at big configs absorbs transient parallel-group bursts
-    // without growth in the measured window.
-    nodes_.back()->reserve_ready(total_nodes >= 1024 ? 128 : 64);
+    nodes_.back()->reserve_ready(kReadyReserve);
+    if (!generated || i >= cfg_.nodes) continue;
+    const double share =
+        cfg_.local_weights.empty()
+            ? 1.0 / static_cast<double>(cfg_.nodes)
+            : cfg_.local_weights[i] / weight_sum;
+    local_sources_.push_back(std::make_unique<workload::LocalTaskSource>(
+        sim_, static_cast<core::NodeId>(i),
+        workload::make_arrival_process(cfg_.arrivals, total_rate * share),
+        cfg_.local_exec, cfg_.local_slack, cfg_.pex_error,
+        sim::Rng(seed, kLocalStreamBase + i), cfg_.horizon, local_sink));
   }
 
   // Load accounting + model (extension; Config::load_model). The board is
@@ -110,48 +149,14 @@ SimulationRun::SimulationRun(const Config& config, std::uint64_t replication)
   // reallocations move into construction at the big configs.
   pm_->reserve_for_scale(total_nodes);
 
-  // Workload sinks, shared by the generators, the trace replayer, and the
-  // optional capture hook (the writer branch is dead unless a writer is
-  // attached, so capture can never perturb an uncaptured run).
-  auto local_sink = [this](core::NodeId node, double exec, double pex,
-                           sim::Time deadline) {
-    if (trace_writer_)
-      trace_writer_->local(sim_.now(), node, exec, pex, deadline);
-    pm_->submit_local(node, exec, pex, deadline);
-  };
-  auto global_sink = [this](const core::TaskSpec& spec, sim::Time deadline) {
-    if (trace_writer_) trace_writer_->global(sim_.now(), spec, deadline);
-    pm_->submit_global(spec, deadline);
-  };
-
   // Trace replay (cfg.trace): the generators are not wired at all; every
   // arrival comes verbatim from the file through the same sinks.
-  if (!cfg_.trace.empty()) {
+  if (!generated) {
     trace_ = std::make_unique<workload::Trace>(
         workload::Trace::load(cfg_.trace));
     trace_source_ = std::make_unique<workload::TraceSource>(
         sim_, *trace_, cfg_.horizon, local_sink, global_sink);
     return;
-  }
-
-  // Local-task streams: homogeneous by default, or weighted per node
-  // (Section 4.3's "some nodes had higher local task loads than others").
-  // With batched (bursty) arrivals the event rate drops by the batch mean
-  // so the offered load stays at the configured level.
-  const double total_rate =
-      cfg_.lambda_local_total() / cfg_.arrivals.batch_mean();
-  double weight_sum = 0;
-  for (double w : cfg_.local_weights) weight_sum += w;
-  for (std::size_t i = 0; i < cfg_.nodes; ++i) {
-    const double share =
-        cfg_.local_weights.empty()
-            ? 1.0 / static_cast<double>(cfg_.nodes)
-            : cfg_.local_weights[i] / weight_sum;
-    local_sources_.push_back(std::make_unique<workload::LocalTaskSource>(
-        sim_, static_cast<core::NodeId>(i),
-        workload::make_arrival_process(cfg_.arrivals, total_rate * share),
-        cfg_.local_exec, cfg_.local_slack, cfg_.pex_error,
-        sim::Rng(seed, kLocalStreamBase + i), cfg_.horizon, local_sink));
   }
 
   // Global-task stream. Batch compounding is a local-stream model

@@ -15,4 +15,9 @@ std::uint64_t allocation_count();
 /// Matching `operator delete` invocation count (non-null frees only).
 std::uint64_t deallocation_count();
 
+/// Bytes requested from the global `operator new` family since process
+/// start (the sizes asked for, before any alignment rounding). Count the
+/// difference across a region to bound its heap footprint.
+std::uint64_t allocated_bytes();
+
 }  // namespace dsrt::testing

@@ -32,12 +32,31 @@
 #include "dsrt/system/baseline.hpp"
 #include "dsrt/system/metrics.hpp"
 #include "dsrt/system/process_manager.hpp"
+#include "dsrt/system/simulation.hpp"
 #include "dsrt/workload/generator.hpp"
 #include "support/alloc_counter.hpp"
 
 namespace {
 
 using namespace dsrt;
+
+/// Ready-queue prewarm: a node's ready queue starts at the run's small
+/// reserve (SimulationRun::kReadyReserve) and grows only at new
+/// high-water marks of its depth, which, like the pool's, can creep
+/// arbitrarily late in a stochastic run. Queueing kReadyFlood tiny local
+/// tasks at every node at once (deeper than any queue gets in the measured
+/// windows below), then draining them, moves every such growth event into
+/// the warm-up. (They draw nothing from the workload RNG streams; they
+/// only shift the clock.)
+constexpr int kReadyFlood = 32;
+
+void flood_ready_queues(sim::Simulator& sim, system::ProcessManager& pm,
+                        std::size_t nodes) {
+  for (std::size_t i = 0; i < nodes; ++i)
+    for (int j = 0; j <= kReadyFlood; ++j)
+      pm.submit_local(static_cast<core::NodeId>(i), 0.001, 0.001, 1e9);
+  sim.run(sim.now() + 10.0);
+}
 
 /// The fig2 system, wired by hand so the simulator clock can be advanced
 /// in phases (SimulationRun::run is one-shot to the horizon).
@@ -57,6 +76,7 @@ struct Fig2System {
       nodes.push_back(std::make_unique<sched::Node>(
           static_cast<core::NodeId>(i), sim, cfg.policy, cfg.abort_policy,
           cfg.preemption));
+      nodes.back()->reserve_ready(system::SimulationRun::kReadyReserve);
     }
     pm = std::make_unique<system::ProcessManager>(sim, nodes, cfg.ssp,
                                                   cfg.psp, metrics);
@@ -99,6 +119,7 @@ struct Fig2System {
       pm->submit_global(spec, /*deadline=*/1e9);
     }
     sim.run(sim.now() + 10.0);  // drain the flood
+    flood_ready_queues(sim, *pm, cfg.nodes);
     for (auto& source : locals) source->start();
     globals->start();
   }
@@ -211,7 +232,7 @@ struct ScaleSystem {
       nodes.push_back(std::make_unique<sched::Node>(
           static_cast<core::NodeId>(i), sim, cfg.policy, cfg.abort_policy,
           cfg.preemption));
-      nodes.back()->reserve_ready(128);
+      nodes.back()->reserve_ready(system::SimulationRun::kReadyReserve);
       board[i].configure(cfg.load_model.ewma_tau, sim.now());
       nodes.back()->attach_load_account(&board[i]);
     }
@@ -254,6 +275,7 @@ struct ScaleSystem {
       pm->submit_global(spec, /*deadline=*/1e9);
     }
     sim.run(sim.now() + 10.0);  // drain the flood
+    flood_ready_queues(sim, *pm, kNodes);
     for (auto& source : locals) source->start();
     globals->start();
   }
@@ -332,6 +354,27 @@ TEST(AllocSteadyState, BigConfigLadderJsqPexCycleAllocatesNothing) {
                         << " global tasks";
   EXPECT_EQ(frees, 0u) << "jsq-pex steady-state cycle freed " << frees
                        << " heap blocks over " << tasks << " global tasks";
+}
+
+TEST(AllocFootprint, K4096RunConstructionStaysSmall) {
+  // Construction footprint of the largest benchmarked run (k=4096, pod:2
+  // over an exact load board): the bytes a SimulationRun asks of
+  // operator new while it is built. Most of it is per node, so a per-node
+  // reserve that creeps back (a ready queue pre-sized for a depth no node
+  // reaches) shows up here multiplied by 4096.
+  system::Config cfg = system::baseline_ssp();
+  cfg.nodes = 4096;
+  cfg.placement = core::PlacementSpec::parse("pod:2");
+  cfg.load_model = core::LoadModelSpec::parse("exact");
+  cfg.horizon = 120;
+  const std::uint64_t before = dsrt::testing::allocated_bytes();
+  system::SimulationRun run(cfg);
+  const std::uint64_t bytes = dsrt::testing::allocated_bytes() - before;
+  // Measured 9.76 MB (x86-64, g++ 12, libstdc++); the bound keeps ~1.5x
+  // headroom. A ready queue reserved 128 deep per node would add ~59 MB.
+  constexpr std::uint64_t kBoundBytes = 15'000'000;
+  EXPECT_LT(bytes, kBoundBytes)
+      << "building the k=4096 run requested " << bytes << " bytes";
 }
 
 TEST(AllocSteadyState, CounterSeesAllocations) {

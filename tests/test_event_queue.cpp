@@ -237,6 +237,72 @@ TEST(QueueTiers, HoldChurnAcrossTheBoundaryPopsTheReferenceOrder) {
   EXPECT_GT(c.q.ladder_spills(), 40u);
 }
 
+/// Pops a queue whose actions' first captures are not pointers, so the
+/// prefetch hint pop() reads is an arbitrary word or null. Each action
+/// logs a tag: its id, or -1 when it can carry none.
+struct HintedQueue {
+  EventQueue q;
+  ReferenceQueue ref;
+  std::vector<int> tags;  ///< tag expected for each reference id
+  std::vector<int> fired;
+  static std::vector<int>* log;
+
+  void push(double at) {
+    const int id = static_cast<int>(tags.size());
+    tags.push_back(id % 4 == 3 ? -1 : id);
+    switch (id % 4) {
+      case 0:  // a NaN double first
+        q.push(at, [nan = std::numeric_limits<double>::quiet_NaN(), id] {
+          if (std::isnan(nan)) log->push_back(id);
+        });
+        break;
+      case 1:  // a small int, smaller than a pointer
+        q.push(at, [id] { log->push_back(id); });
+        break;
+      case 2:  // a shared_ptr (non-trivial relocation)
+        q.push(at, [token = std::make_shared<int>(id)] {
+          log->push_back(*token);
+        });
+        break;
+      default:  // no capture at all
+        q.push(at, [] { log->push_back(-1); });
+    }
+    ref.push(at, id);
+  }
+  double pop() {
+    const double at = q.next_time();
+    EXPECT_EQ(at, ref.next_time());
+    q.pop()();
+    EXPECT_EQ(fired.back(), tags[static_cast<std::size_t>(ref.pop())]);
+    return at;
+  }
+};
+std::vector<int>* HintedQueue::log = nullptr;
+
+TEST(QueueTiers, ActionsWithoutPointerHintsPopTheReferenceOrder) {
+  // The hint is advisory: whatever the first capture word holds, both
+  // tiers pop the reference order, in and out of the ladder.
+  HintedQueue c;
+  HintedQueue::log = &c.fired;
+  dsrt::sim::Rng rng(90210);
+  double now = 0;
+  for (int cycle = 0; cycle < 6; ++cycle) {
+    while (c.q.size() < 400) {
+      c.push(now + std::floor(rng.uniform01() * 64.0) / 8.0);
+      if (rng.uniform01() < 0.3) now = c.pop();
+    }
+    while (c.q.size() > 4) {
+      now = c.pop();
+      if (rng.uniform01() < 0.2) c.push(now + rng.uniform01());
+    }
+  }
+  while (!c.q.empty()) c.pop();
+  EXPECT_TRUE(c.ref.empty());
+  EXPECT_EQ(c.fired.size(), c.tags.size());
+  EXPECT_EQ(c.q.mode_flips(), 12u);  // into the ladder and back, each cycle
+  EXPECT_GT(c.q.ladder_spills(), 6u);
+}
+
 TEST(QueueTiers, EntersLadderPastThresholdAndExitsOnDrain) {
   EventQueue q;
   for (int i = 0; i < 6000; ++i)

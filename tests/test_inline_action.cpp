@@ -97,6 +97,35 @@ TEST(InlineAction, DestructorReleasesCapture) {
   EXPECT_EQ(token.use_count(), 1);
 }
 
+TEST(InlineAction, TargetHintIsTheFirstCapturedPointer) {
+  int object = 0;
+  int* p = &object;
+  InlineAction a = [p] { ++*p; };
+  EXPECT_EQ(a.target_hint(), static_cast<const void*>(p));
+  InlineAction b = std::move(a);  // relocation keeps it
+  EXPECT_EQ(b.target_hint(), static_cast<const void*>(p));
+}
+
+TEST(InlineAction, TargetHintIsNullBelowPointerSize) {
+  int fired = 0;
+  static int* sink;
+  sink = &fired;
+  InlineAction none = [] { ++*sink; };
+  InlineAction small = [n = 3] { *sink += n; };
+  InlineAction tiny = [c = 'x'] { *sink += c; };
+  static_assert(sizeof(int) < sizeof(void*));
+  EXPECT_EQ(none.target_hint(), nullptr);
+  EXPECT_EQ(small.target_hint(), nullptr);
+  EXPECT_EQ(tiny.target_hint(), nullptr);
+  InlineAction moved = std::move(small);
+  EXPECT_EQ(moved.target_hint(), nullptr);
+  // The callables still run from behind the null word.
+  none();
+  moved();
+  tiny();
+  EXPECT_EQ(fired, 1 + 3 + 'x');
+}
+
 // The kernel's scheduling paths require these properties.
 static_assert(std::is_nothrow_move_constructible_v<InlineAction>);
 static_assert(std::is_nothrow_move_assignable_v<InlineAction>);
