@@ -33,16 +33,30 @@ struct NodeLoad {
   bool down = false;
 };
 
-/// Tournament tree over the jsq-pex placement keys of a LoadBoard: each
-/// leaf holds one node's key (+inf when the node is down, else its queued
-/// pex — the very double jsq-pex's scan compares), each inner vertex the
-/// minimum over its subtree and how many leaves attain it, in one 16-byte
-/// record per vertex. A key write re-pulls ancestors only until the first
-/// one whose (min, count) stays the same — O(log k) at worst, and usually
-/// a few levels, since most writes leave a subtree's minimum where it is.
-/// The (min, count of minima) over an id range and the s-th minimum in
-/// node order cost O(log k) each — exact jsq with the scan's tie rotation,
-/// without reading every node.
+/// The jsq-pex placement keys of a LoadBoard (+inf when a node is down,
+/// else its queued pex — the very double jsq-pex's scan compares), split
+/// by the one value that dominates them. Keys of exactly 0 (idle nodes
+/// without rounding residue; the least key the board holds) live in a
+/// bitset over node ids. A (min, count) tournament tree keeps the other
+/// keys, a zero leaf being stored as (+inf, 0): each inner vertex holds
+/// the minimum over its subtree and how many leaves attain it, in one
+/// 16-byte record.
+///
+/// A write is a bit update plus, the first time a leaf changes after a
+/// flush, one append to a dirty list. The tree is brought up to date only
+/// when a query needs it: each dirty leaf re-pulls its ancestors until the
+/// first one whose pair stays the same. A range holding a zero key is
+/// answered from the bitset alone — its minimum is (0, zeros in range) and
+/// the s-th minimum is the s-th zero in node order, found by word
+/// popcounts — so it never flushes.
+///
+/// Negative keys (only a library-supplied exec distribution under perfect
+/// prediction can make one) would sit below the zero class: while any
+/// exists the tree holds the zeros too, as (0, 1), and every query uses
+/// it. Entering and leaving that mode rebuild the tree once each.
+///
+/// Queries are const: the tree is a cache of the keys, refreshed on
+/// demand (a board belongs to one single-threaded run).
 class BacklogIndex {
  public:
   /// Minimum key over a range and the number of nodes attaining it.
@@ -58,25 +72,62 @@ class BacklogIndex {
     }
   };
 
-  /// Index over `keys` (one per node, node order).
+  /// Index over `keys` (one per node, node order). Throws
+  /// std::invalid_argument on a NaN key.
   explicit BacklogIndex(const std::vector<double>& keys);
 
   std::size_t size() const { return size_; }
 
-  /// Replaces node `i`'s key. Stops at the first ancestor whose pair did
-  /// not change: every vertex above it is a function of unchanged pairs.
+  /// Replaces node `i`'s key. Throws std::invalid_argument on NaN, which
+  /// Min::merge cannot order, before changing anything.
   void set(std::size_t i, double key) {
-    std::size_t v = leaves_ + i;
-    tree_[v].key = key;
-    while (v > 1) {
-      v /= 2;
-      const Min m = Min::merge(tree_[2 * v], tree_[2 * v + 1]);
-      if (m.key == tree_[v].key && m.count == tree_[v].count) return;
-      tree_[v] = m;
+    if (key != key) reject_nan();
+    const std::uint64_t bit = std::uint64_t{1} << (i % 64);
+    std::uint64_t& word = zero_bits_[i / 64];
+    if (key == 0) {
+      zeros_ += (word & bit) == 0;
+      word |= bit;
+    } else {
+      zeros_ -= (word & bit) != 0;
+      word &= ~bit;
+    }
+    Min& leaf = tree_[leaves_ + i];
+    if ((key < 0) != (leaf.key < 0)) {
+      leaf = {key, 1};
+      if (key < 0 ? negatives_++ == 0 : --negatives_ == 0) {
+        // Entering or leaving negative mode moves every zero leaf.
+        rebuild();
+        return;
+      }
+    } else {
+      const Min now = key == 0 && negatives_ == 0 ? Min{} : Min{key, 1};
+      if (now.key == leaf.key && now.count == leaf.count) return;
+      leaf = now;
+    }
+    std::uint64_t& dirty = dirty_bits_[i / 64];
+    if ((dirty & bit) == 0) {
+      dirty |= bit;
+      dirty_.push_back(static_cast<std::uint32_t>(i));
     }
   }
 
-  /// (min, count of minima) over nodes [lo, hi).
+  /// True while no key is negative: exact zeros are then the least keys,
+  /// and any range holding one is answered from the bitset.
+  bool zeros_least() const { return negatives_ == 0; }
+
+  /// Whether node `i`'s key is exactly 0 (either sign).
+  bool is_zero(std::size_t i) const {
+    return (zero_bits_[i / 64] >> (i % 64)) & 1;
+  }
+  /// Nodes of [lo, hi) whose key is exactly 0. O(1) over the whole board
+  /// (a running total), else O((hi - lo) / 64).
+  std::size_t zeros_in(std::size_t lo, std::size_t hi) const;
+  /// The node of [lo, hi) holding the s-th (0-based, node order) zero key;
+  /// s < zeros_in(lo, hi).
+  std::size_t nth_zero(std::size_t lo, std::size_t hi, std::size_t s) const;
+
+  /// (min, count of minima) over nodes [lo, hi): from the bitset when the
+  /// range holds a least zero, else from the tree (flushed first).
   Min min_over(std::size_t lo, std::size_t hi) const;
 
   /// The node of [lo, hi) holding the s-th (0-based, in node order) key
@@ -85,14 +136,35 @@ class BacklogIndex {
   std::size_t nth_min(std::size_t lo, std::size_t hi, double key,
                       std::size_t s) const;
 
-  /// Vertex `v`'s (min, count); the root is 1 and leaf i is leaves() + i.
+  /// Brings every tree vertex up to date; returns the dirty leaves it
+  /// re-pulled. Queries that need the tree call it themselves.
+  std::size_t flush() const;
+
+  /// Vertex `v`'s (min, count) as stored — current after a flush. The root
+  /// is 1 and leaf i is leaves() + i; a zero key's leaf is (+inf, 0) unless
+  /// some key is negative.
   Min vertex(std::size_t v) const { return tree_[v]; }
   std::size_t leaves() const { return leaves_; }
 
  private:
+  [[noreturn]] static void reject_nan();
+  /// Recomputes every vertex from the leaves and the current mode, and
+  /// empties the dirty list. O(k).
+  void rebuild();
+  /// (min, count) over [lo, hi) from the flushed tree.
+  Min tree_min(std::size_t lo, std::size_t hi) const;
+
   std::size_t size_;
   std::size_t leaves_;  ///< power of two >= size_; leaf i is vertex leaves_+i
-  std::vector<Min> tree_;  ///< per vertex; padding leaves = (+inf, 0)
+  /// Per vertex; padding leaves = (+inf, 0). Mutable: flushed by queries.
+  mutable std::vector<Min> tree_;
+  std::vector<std::uint64_t> zero_bits_;  ///< bit i: node i's key is 0
+  std::size_t zeros_ = 0;                 ///< set bits of zero_bits_
+  std::size_t negatives_ = 0;             ///< keys < 0
+  /// Leaves written since the last flush (reserved to size_, so a write
+  /// never allocates), each once, flagged in dirty_bits_.
+  mutable std::vector<std::uint32_t> dirty_;
+  mutable std::vector<std::uint64_t> dirty_bits_;
 };
 
 /// Per-node load accounting slot, written by the owning `sched::Node` at
@@ -147,8 +219,10 @@ class LoadAccount {
 
   double ewma_at(sim::Time now) const;
   /// Mirrors a key change into the board's index, once one was built.
+  /// Most runs never build one; the hint keeps their write path compact.
   void publish() {
-    if (index_) index_->set(slot_, pex_key());
+    if (index_) [[unlikely]]
+      index_->set(slot_, pex_key());
   }
 
   double backlog_ = 0;
@@ -201,8 +275,9 @@ class LoadBoard {
   }
 
   /// The jsq-pex index over every account, built on the first call (O(k))
-  /// and kept current by the accounts' own writes from then on. Runs that
-  /// never ask (static, pod, snapshot models) never pay for it.
+  /// and fed by the accounts' own writes from then on (its tree catches
+  /// up when a query needs it). Runs that never ask (static, pod,
+  /// snapshot models) never pay for it.
   const BacklogIndex& backlog_index() const;
 
   /// Invokes fn(index, account) for every account, shard block by shard

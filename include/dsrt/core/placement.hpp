@@ -201,10 +201,15 @@ class StaticPlacement final : public PlacementPolicy {
 /// round-robin — a useful placement baseline in its own right.
 ///
 /// Cost: `jsq-pex` over an interval candidate set, with a model that
-/// exposes a BacklogIndex (the exact model does), is O((|taken| + 1) log k)
-/// and one model read: (min, ties) over the interval minus the taken
-/// nodes, then the (seq % ties)-th minimum in node order — the scan's
-/// answer, counters and sequence step exactly. Everything else scans the
+/// exposes a BacklogIndex (the exact model does), takes one model read and
+/// gives the scan's answer, counters and sequence step exactly. When some
+/// candidate's key is exactly 0 (an idle node without rounding residue),
+/// the zero bitset answers in O(k/64 + |taken|) word operations: (0, zeros)
+/// over the interval minus the taken nodes — O(|taken|) when the interval
+/// is the whole board — then the (seq % zeros)-th zero in node order.
+/// Otherwise the tree is flushed (each leaf written since the last flush
+/// re-pulls its changed ancestors) and answers in O((|taken| + 1) log k):
+/// (min, ties), then the (seq % ties)-th minimum. Everything else scans the
 /// candidates with one model read each (O(n)): `jsq-util`, sampled/stale
 /// and decorated models, explicit lists, and an all-down (+inf) minimum.
 ///
@@ -232,6 +237,15 @@ class JsqPlacement final : public PlacementPolicy {
   /// Placements decided so far (tie-rotation position); for tests.
   std::uint64_t decisions() const { return seq_; }
 
+  /// How the backlog index answered this policy's decisions; passive,
+  /// harvested by the obs probes.
+  struct IndexCounters {
+    std::uint64_t zero_answers = 0;  ///< a candidate's key was exactly 0
+    std::uint64_t tree_answers = 0;  ///< the (min, count) tree answered
+    std::uint64_t flushed_leaves = 0;  ///< dirty leaves it re-pulled
+  };
+  const IndexCounters& index_counters() const { return index_counters_; }
+
  private:
   /// The index path; returns kNoNode when it does not apply.
   NodeId place_indexed(const PlacementContext& ctx,
@@ -245,6 +259,7 @@ class JsqPlacement final : public PlacementPolicy {
   mutable std::vector<double> keys_;
   /// Scratch for place_indexed's per-piece (min, count) pairs.
   mutable std::vector<BacklogIndex::Min> piece_mins_;
+  mutable IndexCounters index_counters_;
 };
 
 /// Power-of-d-choices placement (Mitzenmacher's two-choices result, the

@@ -27,7 +27,9 @@ namespace dsrt::obs {
 ///   load_model.reads, and for snapshot models load_model.refreshes +
 ///   load_model.mean_read_age (gauge)
 ///   placement.decisions/exact_ties/hint_fallbacks/restricted (when a
-///   placement policy is wired)
+///   placement policy is wired), and for jsq policies
+///   placement.index_zero_answers/index_tree_answers/index_flushed_leaves
+///   (how the exact jsq-pex index answered)
 ///
 /// `SimulationRun::run` calls this automatically into
 /// `RunMetrics::counters` when `Config::probes` is set; tests and tools

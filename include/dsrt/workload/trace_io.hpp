@@ -22,11 +22,13 @@ namespace dsrt::workload {
 ///   L,<arrival>,<node>,<exec>,<pex>,<deadline>
 ///   G,<arrival>,<deadline>,<shape>
 ///
-/// All times are C hexfloats (`%a`), so a round trip through the file is
-/// exact — the replayed trajectory reproduces the captured run's metrics
-/// bitwise. Records appear in simulated-time order (the capture order);
-/// within one stream, consecutive records with an identical arrival stamp
-/// are one burst (a single arrival event releasing several tasks).
+/// Arrivals, exec and pex are finite and >= 0, and no value is NaN (a
+/// deadline may be +inf); load() rejects anything else. All times are C
+/// hexfloats (`%a`), so a round trip through the file is exact — the
+/// replayed trajectory reproduces the captured run's metrics bitwise.
+/// Records appear in simulated-time order (the capture order); within one
+/// stream, consecutive records with an identical arrival stamp are one
+/// burst (a single arrival event releasing several tasks).
 ///
 /// `<shape>` is the serial-parallel tree grammar:
 ///   leaf       <exec>/<pex>@<node>            bound leaf
@@ -65,7 +67,8 @@ struct Trace {
 std::string format_spec(const core::TaskSpec& spec);
 
 /// Parses the shape grammar into `out` via `builder` (reusable across
-/// calls). Throws std::invalid_argument on malformed input.
+/// calls). Throws std::invalid_argument on malformed input, including a
+/// leaf exec or pex that is not finite and >= 0.
 void parse_spec_into(std::string_view text, core::TaskSpecBuilder& builder,
                      core::TaskSpec& out);
 

@@ -1,5 +1,6 @@
 #include "dsrt/core/load_model.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <sstream>
@@ -9,16 +10,112 @@
 
 namespace dsrt::core {
 
+namespace {
+
+/// Set bits of `x`. Branch-free and inline: the build targets no popcount
+/// instruction, so __builtin_popcountll would be a library call.
+inline std::size_t popcount(std::uint64_t x) {
+  x -= (x >> 1) & 0x5555555555555555u;
+  x = (x & 0x3333333333333333u) + ((x >> 2) & 0x3333333333333333u);
+  x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0fu;
+  return static_cast<std::size_t>((x * 0x0101010101010101u) >> 56);
+}
+
+}  // namespace
+
 BacklogIndex::BacklogIndex(const std::vector<double>& keys)
     : size_(keys.size()), leaves_(1) {
   while (leaves_ < size_) leaves_ *= 2;
   tree_.assign(2 * leaves_, Min{});
-  for (std::size_t i = 0; i < size_; ++i) tree_[leaves_ + i] = {keys[i], 1};
+  zero_bits_.assign((size_ + 63) / 64, 0);
+  dirty_bits_.assign(zero_bits_.size(), 0);
+  dirty_.reserve(size_);
+  for (std::size_t i = 0; i < size_; ++i) {
+    const double key = keys[i];
+    if (key != key) reject_nan();
+    tree_[leaves_ + i] = {key, 1};
+    if (key == 0) {
+      zero_bits_[i / 64] |= std::uint64_t{1} << (i % 64);
+      ++zeros_;
+    }
+    if (key < 0) ++negatives_;
+  }
+  rebuild();
+}
+
+void BacklogIndex::reject_nan() {
+  throw std::invalid_argument("BacklogIndex: NaN key");
+}
+
+void BacklogIndex::rebuild() {
+  const Min zero = zeros_least() ? Min{} : Min{0.0, 1};
+  for (std::size_t i = 0; i < size_; ++i)
+    if (is_zero(i)) tree_[leaves_ + i] = zero;
   for (std::size_t v = leaves_; v-- > 1;)
     tree_[v] = Min::merge(tree_[2 * v], tree_[2 * v + 1]);
+  dirty_.clear();
+  std::fill(dirty_bits_.begin(), dirty_bits_.end(), 0);
+}
+
+std::size_t BacklogIndex::flush() const {
+  // Any order works: a walk leaves each vertex it visits equal to the
+  // merge of its children, and stops only where nothing above changed
+  // through it; a stale child on another dirty leaf's path is re-pulled
+  // by that leaf's own walk.
+  for (const std::uint32_t i : dirty_) {
+    dirty_bits_[i / 64] &= ~(std::uint64_t{1} << (i % 64));
+    for (std::size_t v = leaves_ + i; v > 1;) {
+      v /= 2;
+      const Min m = Min::merge(tree_[2 * v], tree_[2 * v + 1]);
+      if (m.key == tree_[v].key && m.count == tree_[v].count) break;
+      tree_[v] = m;
+    }
+  }
+  const std::size_t flushed = dirty_.size();
+  dirty_.clear();
+  return flushed;
+}
+
+std::size_t BacklogIndex::zeros_in(std::size_t lo, std::size_t hi) const {
+  if (lo == 0 && hi == size_) return zeros_;
+  if (lo >= hi) return 0;
+  const std::size_t first = lo / 64, last = (hi - 1) / 64;
+  const std::uint64_t head = ~std::uint64_t{0} << (lo % 64);
+  const std::uint64_t tail = ~std::uint64_t{0} >> (63 - (hi - 1) % 64);
+  if (first == last) return popcount(zero_bits_[first] & head & tail);
+  std::size_t n = popcount(zero_bits_[first] & head);
+  for (std::size_t w = first + 1; w < last; ++w) n += popcount(zero_bits_[w]);
+  return n + popcount(zero_bits_[last] & tail);
+}
+
+std::size_t BacklogIndex::nth_zero(std::size_t lo, std::size_t hi,
+                                   std::size_t s) const {
+  const std::size_t last = hi == 0 ? 0 : (hi - 1) / 64;
+  for (std::size_t w = lo / 64; lo < hi && w <= last; ++w) {
+    std::uint64_t bits = zero_bits_[w];
+    if (w == lo / 64) bits &= ~std::uint64_t{0} << (lo % 64);
+    if (w == last) bits &= ~std::uint64_t{0} >> (63 - (hi - 1) % 64);
+    const std::size_t n = popcount(bits);
+    if (s >= n) {
+      s -= n;
+      continue;
+    }
+    for (; s > 0; --s) bits &= bits - 1;
+    return w * 64 + static_cast<std::size_t>(__builtin_ctzll(bits));
+  }
+  throw std::logic_error("BacklogIndex::nth_zero: fewer zeros than asked");
 }
 
 BacklogIndex::Min BacklogIndex::min_over(std::size_t lo,
+                                         std::size_t hi) const {
+  if (zeros_least())
+    if (const std::size_t z = zeros_in(lo, hi); z > 0)
+      return {0.0, static_cast<std::uint32_t>(z)};
+  flush();
+  return tree_min(lo, hi);
+}
+
+BacklogIndex::Min BacklogIndex::tree_min(std::size_t lo,
                                          std::size_t hi) const {
   Min acc;
   for (std::size_t l = lo + leaves_, r = hi + leaves_; l < r; l /= 2, r /= 2) {
@@ -30,6 +127,8 @@ BacklogIndex::Min BacklogIndex::min_over(std::size_t lo,
 
 std::size_t BacklogIndex::nth_min(std::size_t lo, std::size_t hi, double key,
                                   std::size_t s) const {
+  if (key == 0 && zeros_least()) return nth_zero(lo, hi, s);
+  flush();
   // The canonical cover of [lo, hi): left-side vertices arrive in node
   // order, right-side ones in reverse; at most one of each per level.
   std::size_t left[64], right[64];

@@ -80,22 +80,51 @@ NodeId JsqPlacement::place_indexed(const PlacementContext& ctx,
   const EligibleSet& set = candidates.eligible();
   if (key_ != Key::QueuedPex || !ctx.load || !set.is_range()) return kNoNode;
   const BacklogIndex* index = ctx.load->backlog_index();
-  if (!index || std::size_t{set.first()} + set.size() > index->size())
-    return kNoNode;
+  const std::size_t first = set.first();
+  const std::size_t end = first + set.size();
+  if (!index || end > index->size()) return kNoNode;
   // The interval minus the taken positions is a handful of sub-ranges;
   // visit each as [lo, hi) in node order.
   const auto for_each_piece = [&](auto&& fn) {
-    std::size_t lo = set.first();
+    std::size_t lo = first;
     for (const std::uint32_t p : candidates.skipped()) {
-      const std::size_t hi = std::size_t{set.first()} + p;
+      const std::size_t hi = first + p;
       if (lo < hi) fn(lo, hi);
       lo = hi + 1;
     }
-    const std::size_t end = std::size_t{set.first()} + set.size();
     if (lo < end) fn(lo, end);
   };
-  // Each piece's (min, count) is read from the index once; the second
-  // walk finds the piece holding the rotated minimum from the stored pairs.
+  // Exact zeros are counted over the whole decision first: when any
+  // candidate holds one, the minimum is (0, zeros) and the pick is the
+  // rotated zero in node order, all from the bitset — the tree is not
+  // flushed. Asking piece by piece would flush whenever one small piece
+  // between two taken nodes held none.
+  std::size_t zeros = 0;
+  if (index->zeros_least()) {
+    zeros = index->zeros_in(first, end);
+    for (const std::uint32_t p : candidates.skipped())
+      zeros -= index->is_zero(first + p);
+  }
+  if (zeros > 0) {
+    ++index_counters_.zero_answers;
+    if (zeros > 1) ++counters_.exact_ties;
+    std::size_t skip = static_cast<std::size_t>(seq_++ % zeros);
+    NodeId chosen = kNoNode;
+    for_each_piece([&](std::size_t lo, std::size_t hi) {
+      if (chosen != kNoNode) return;
+      const std::size_t z = index->zeros_in(lo, hi);
+      if (skip < z) {
+        chosen = static_cast<NodeId>(index->nth_zero(lo, hi, skip));
+      } else {
+        skip -= z;
+      }
+    });
+    return chosen;
+  }
+  // No zero among the candidates: the tree answers. Each piece's
+  // (min, count) is read from it once; the second walk finds the piece
+  // holding the rotated minimum from the stored pairs.
+  index_counters_.flushed_leaves += index->flush();
   piece_mins_.clear();
   BacklogIndex::Min best;
   for_each_piece([&](std::size_t lo, std::size_t hi) {
@@ -104,6 +133,7 @@ NodeId JsqPlacement::place_indexed(const PlacementContext& ctx,
   });
   // Every candidate down: let the scan pick among the +inf keys.
   if (best.key == std::numeric_limits<double>::infinity()) return kNoNode;
+  ++index_counters_.tree_answers;
   if (best.count > 1) ++counters_.exact_ties;
   std::size_t skip = static_cast<std::size_t>(seq_++ % best.count);
   NodeId chosen = kNoNode;

@@ -129,6 +129,15 @@ void probe_run(const system::SimulationRun& run, Registry& reg) {
             static_cast<double>(c.hint_fallbacks));
     reg.set(reg.counter("placement.restricted"),
             static_cast<double>(c.restricted));
+    if (const auto* jsq = dynamic_cast<const core::JsqPlacement*>(placement)) {
+      const core::JsqPlacement::IndexCounters& ic = jsq->index_counters();
+      reg.set(reg.counter("placement.index_zero_answers"),
+              static_cast<double>(ic.zero_answers));
+      reg.set(reg.counter("placement.index_tree_answers"),
+              static_cast<double>(ic.tree_answers));
+      reg.set(reg.counter("placement.index_flushed_leaves"),
+              static_cast<double>(ic.flushed_leaves));
+    }
   }
 
   // --- fault: injected failures and the reactions they triggered -----------

@@ -199,7 +199,9 @@ std::string cli_usage() {
       "                       eligible node via --load_model, pod[:d] =\n"
       "                       power-of-d-choices (d rng samples, argmin\n"
       "                       queued pex; default d=2) — O(d) per decision;\n"
-      "                       jsq-pex over --load_model=exact is O(log k)\n"
+      "                       jsq-pex over --load_model=exact reads an\n"
+      "                       index: O(k/64) words with an idle candidate,\n"
+      "                       else O(log k)\n"
       "  --policy=EDF|MLF|FCFS|SJF --abort=NoAbort|AbortTardy|AbortHopeless\n"
       "  --arrivals=" + joined_names(workload::arrival_kind_names()) + "\n"
       "                       arrival process of the task streams. batch:<n>\n"

@@ -1,5 +1,6 @@
 #include "dsrt/workload/trace_io.hpp"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <algorithm>
@@ -23,12 +24,19 @@ std::string hex_double(double v) {
   return buf;
 }
 
+/// A time or demand a trace may hold: finite and >= 0.
+bool valid_amount(double v) { return std::isfinite(v) && v >= 0; }
+
+/// Parses one record field; NaN is never valid (a deadline may be +inf,
+/// nothing may be NaN). With `amount` set the value must also be finite
+/// and >= 0 (arrivals, exec, pex).
 double parse_hex_double(std::string_view text, const char* what,
-                        std::size_t line_no) {
+                        std::size_t line_no, bool amount = false) {
   const std::string s(text);
   char* end = nullptr;
   const double v = std::strtod(s.c_str(), &end);
-  if (s.empty() || end != s.c_str() + s.size())
+  if (s.empty() || end != s.c_str() + s.size() || std::isnan(v) ||
+      (amount && !valid_amount(v)))
     throw std::invalid_argument("Trace: bad " + std::string(what) + " '" + s +
                                 "' at line " + std::to_string(line_no));
   return v;
@@ -161,7 +169,7 @@ class SpecParser {
     const std::string t(token);
     char* end = nullptr;
     const double v = std::strtod(t.c_str(), &end);
-    if (t.empty() || end != t.c_str() + t.size())
+    if (t.empty() || end != t.c_str() + t.size() || !valid_amount(v))
       fail(std::string("bad ") + what + " '" + t + "'");
     return v;
   }
@@ -288,11 +296,11 @@ Trace Trace::load(const std::string& path) {
                                     "line " +
                                     std::to_string(line_no));
       TraceLocalRecord r;
-      r.arrival = parse_hex_double(fields[1], "arrival", line_no);
+      r.arrival = parse_hex_double(fields[1], "arrival", line_no, true);
       r.node = static_cast<core::NodeId>(
           parse_size(fields[2], "node", line_no));
-      r.exec = parse_hex_double(fields[3], "exec", line_no);
-      r.pex = parse_hex_double(fields[4], "pex", line_no);
+      r.exec = parse_hex_double(fields[3], "exec", line_no, true);
+      r.pex = parse_hex_double(fields[4], "pex", line_no, true);
       r.deadline = parse_hex_double(fields[5], "deadline", line_no);
       trace.locals.push_back(r);
     } else if (fields[0] == "G") {
@@ -301,9 +309,14 @@ Trace Trace::load(const std::string& path) {
                                     "line " +
                                     std::to_string(line_no));
       TraceGlobalRecord r;
-      r.arrival = parse_hex_double(fields[1], "arrival", line_no);
+      r.arrival = parse_hex_double(fields[1], "arrival", line_no, true);
       r.deadline = parse_hex_double(fields[2], "deadline", line_no);
-      parse_spec_into(fields[3], builder, r.spec);
+      try {
+        parse_spec_into(fields[3], builder, r.spec);
+      } catch (const std::invalid_argument& e) {
+        throw std::invalid_argument(std::string(e.what()) + " at line " +
+                                    std::to_string(line_no));
+      }
       trace.globals.push_back(std::move(r));
     } else {
       throw std::invalid_argument("Trace: unknown record kind '" + fields[0] +

@@ -5,9 +5,12 @@
 // for every new strategy/load-model combination.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <limits>
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -87,58 +90,195 @@ TEST(LoadBoard, ShardedSlotsKeepStableAddressesAcrossGrowth) {
   EXPECT_DOUBLE_EQ(sum, 9.0);
 }
 
+/// Brute-force (min, nodes attaining it) over keys[lo, hi).
+std::pair<double, std::vector<std::size_t>> brute_minima(
+    const std::vector<double>& keys, std::size_t lo, std::size_t hi) {
+  double best = std::numeric_limits<double>::infinity();
+  std::vector<std::size_t> minima;
+  for (std::size_t j = lo; j < hi; ++j) {
+    if (keys[j] < best) {
+      best = keys[j];
+      minima.clear();
+    }
+    if (keys[j] == best) minima.push_back(j);
+  }
+  return {best, minima};
+}
+
+/// Checks every index answer over [lo, hi) against brute force; returns
+/// whether the range held an exactly-zero key.
+bool expect_range_matches(const core::BacklogIndex& index,
+                          const std::vector<double>& keys, std::size_t lo,
+                          std::size_t hi) {
+  const auto [best, minima] = brute_minima(keys, lo, hi);
+  std::size_t zeros = 0;
+  for (std::size_t j = lo; j < hi; ++j) zeros += keys[j] == 0;
+  EXPECT_EQ(index.zeros_in(lo, hi), zeros) << "[" << lo << ", " << hi << ")";
+  const core::BacklogIndex::Min m = index.min_over(lo, hi);
+  EXPECT_EQ(m.key, best) << "[" << lo << ", " << hi << ")";
+  EXPECT_EQ(m.count, minima.size()) << "[" << lo << ", " << hi << ")";
+  if (m.count != minima.size()) return zeros > 0;
+  for (std::size_t s = 0; s < minima.size(); ++s)
+    EXPECT_EQ(index.nth_min(lo, hi, best, s), minima[s])
+        << "[" << lo << ", " << hi << ") s=" << s;
+  return zeros > 0;
+}
+
+/// Flushes `index`, then requires every vertex to equal a fresh build's.
+void expect_flushed_tree_matches(const core::BacklogIndex& index,
+                                 const std::vector<double>& keys) {
+  index.flush();
+  const core::BacklogIndex rebuilt(keys);
+  ASSERT_EQ(index.leaves(), rebuilt.leaves());
+  for (std::size_t v = 1; v < 2 * index.leaves(); ++v) {
+    ASSERT_EQ(index.vertex(v).key, rebuilt.vertex(v).key) << "vertex " << v;
+    ASSERT_EQ(index.vertex(v).count, rebuilt.vertex(v).count)
+        << "vertex " << v;
+  }
+}
+
 TEST(BacklogIndex, EveryWriteMatchesARebuildAndBruteForce) {
-  // Differential check of the in-place update (including its early exit)
-  // against a from-scratch build after every write. Keys come from a
-  // handful of values, so ties are constant; exact zeros (idle nodes),
-  // +inf (down nodes) and rewrites of the current key are all frequent.
+  // Differential check of the deferred tree (bursts of writes, then a
+  // flush with early exits in arbitrary order) and of the zero bitset
+  // against a from-scratch build and brute force. Keys come from a
+  // handful of values, so ties are constant; exact zeros of either sign
+  // (idle nodes), +inf (down nodes) and rewrites of the current key are
+  // all frequent. Short ranges often hold no zero and go to the tree.
   const double inf = std::numeric_limits<double>::infinity();
-  for (const std::size_t k : {1, 5, 37, 64}) {
+  for (const std::size_t k : {1, 5, 37, 64, 1000, 4096}) {
+    SCOPED_TRACE("k=" + std::to_string(k));
     Rng rng(91, k);
     const auto draw = [&](double current) {
       const double u = rng.uniform01();
       if (u < 0.15) return current;
-      if (u < 0.30) return 0.0;
+      if (u < 0.25) return 0.0;
+      if (u < 0.30) return -0.0;
       if (u < 0.40) return inf;
-      return 0.5 * std::floor(rng.uniform01() * 4.0);
+      return 0.5 * std::floor(1.0 + rng.uniform01() * 4.0);
     };
     std::vector<double> keys(k);
     for (double& key : keys) key = draw(0.0);
     core::BacklogIndex index(keys);
-    for (int step = 0; step < 2000; ++step) {
-      const std::size_t i = rng.below(k);
-      keys[i] = draw(keys[i]);
-      index.set(i, keys[i]);
-      const core::BacklogIndex rebuilt(keys);
-      ASSERT_EQ(index.leaves(), rebuilt.leaves());
-      for (std::size_t v = 1; v < 2 * index.leaves(); ++v) {
-        ASSERT_EQ(index.vertex(v).key, rebuilt.vertex(v).key)
-            << "k=" << k << " step " << step << " vertex " << v;
-        ASSERT_EQ(index.vertex(v).count, rebuilt.vertex(v).count)
-            << "k=" << k << " step " << step << " vertex " << v;
+    std::size_t with_zero = 0, without_zero = 0;
+    const int rounds = k > 1000 ? 150 : 400;
+    for (int round = 0; round < rounds; ++round) {
+      SCOPED_TRACE("round " + std::to_string(round));
+      const std::size_t burst = 1 + rng.below(200);
+      for (std::size_t w = 0; w < burst; ++w) {
+        const std::size_t i = rng.below(k);
+        keys[i] = draw(keys[i]);
+        index.set(i, keys[i]);
       }
-      for (int q = 0; q < 4; ++q) {
+      for (int q = 0; q < 6; ++q) {
         std::size_t lo = rng.below(k);
-        std::size_t hi = rng.below(k);
+        std::size_t hi = q % 2 == 0 ? rng.below(k)
+                                    : std::min(k - 1, lo + rng.below(4));
         if (lo > hi) std::swap(lo, hi);
         ++hi;
-        std::vector<std::size_t> minima;
-        double best = inf;
-        for (std::size_t j = lo; j < hi; ++j) {
-          if (keys[j] < best) {
-            best = keys[j];
-            minima.clear();
-          }
-          if (keys[j] == best) minima.push_back(j);
-        }
-        const core::BacklogIndex::Min m = index.min_over(lo, hi);
-        ASSERT_EQ(m.key, best);
-        ASSERT_EQ(m.count, minima.size());
-        for (std::size_t s = 0; s < minima.size(); ++s)
-          ASSERT_EQ(index.nth_min(lo, hi, best, s), minima[s]);
+        (expect_range_matches(index, keys, lo, hi) ? with_zero
+                                                   : without_zero) += 1;
       }
+      expect_range_matches(index, keys, 0, k);
+      expect_flushed_tree_matches(index, keys);
+      if (HasFatalFailure()) return;
     }
+    EXPECT_GT(with_zero, 100u);
+    EXPECT_GT(without_zero, 100u);
   }
+}
+
+TEST(BacklogIndex, NegativeKeysSendEveryQueryToTheTree) {
+  // A negative key sits below the zero class: while one exists the tree
+  // holds the zeros too. Entering and leaving that mode rebuild it; every
+  // answer in between (and after) must match brute force.
+  for (const std::size_t k : {5, 64, 1000}) {
+    SCOPED_TRACE("k=" + std::to_string(k));
+    Rng rng(7, k);
+    std::vector<double> keys(k, 0.0);
+    core::BacklogIndex index(keys);
+    std::size_t negative_rounds = 0, zero_rounds = 0, mode_changes = 0;
+    for (int round = 0; round < 800; ++round) {
+      SCOPED_TRACE("round " + std::to_string(round));
+      // Phases of 100 rounds: odd ones introduce negative keys, even ones
+      // overwrite them until none is left.
+      const bool introduce = round / 100 % 2 == 1;
+      std::size_t i = rng.below(k);
+      if (!introduce)
+        for (std::size_t j = 0; j < k; ++j)
+          if (keys[j] < 0) {
+            i = j;
+            break;
+          }
+      const double u = rng.uniform01();
+      const bool was_least = index.zeros_least();
+      keys[i] = introduce && u < 0.1
+                    ? -0.5 * static_cast<double>(1 + rng.below(2))
+                : u < 0.55 ? 0.0
+                           : 0.5 * static_cast<double>(rng.below(4));
+      index.set(i, keys[i]);
+      std::size_t negatives = 0;
+      for (const double key : keys) negatives += key < 0;
+      ASSERT_EQ(index.zeros_least(), negatives == 0);
+      mode_changes += index.zeros_least() != was_least;
+      (negatives > 0 ? negative_rounds : zero_rounds) += 1;
+      std::size_t lo = rng.below(k);
+      std::size_t hi = rng.below(k);
+      if (lo > hi) std::swap(lo, hi);
+      expect_range_matches(index, keys, lo, hi + 1);
+      expect_range_matches(index, keys, 0, k);
+      if (round % 16 == 0) expect_flushed_tree_matches(index, keys);
+      if (HasFatalFailure()) return;
+    }
+    EXPECT_GT(negative_rounds, 100u);
+    EXPECT_GT(zero_rounds, 100u);
+    EXPECT_GE(mode_changes, 6u);
+  }
+}
+
+TEST(BacklogIndex, NanKeysAreRejectedWithoutChangingAnything) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(core::BacklogIndex(std::vector<double>{0.0, nan}),
+               std::invalid_argument);
+  std::vector<double> keys = {1.0, 0.0, 2.0, 0.0, 1.0};
+  core::BacklogIndex index(keys);
+  index.set(0, 3.0);
+  keys[0] = 3.0;
+  for (const std::size_t i : {0, 1, 4}) {
+    EXPECT_THROW(index.set(i, nan), std::invalid_argument);
+    for (std::size_t lo = 0; lo < keys.size(); ++lo)
+      for (std::size_t hi = lo + 1; hi <= keys.size(); ++hi)
+        expect_range_matches(index, keys, lo, hi);
+    expect_flushed_tree_matches(index, keys);
+  }
+}
+
+TEST(BacklogIndex, RangesHoldingAZeroNeverFlush) {
+  // The performance property of the split: with an exactly-zero key in
+  // every queried range, writes only mark leaves dirty — 10k of them,
+  // interleaved with queries, leave every written leaf still unflushed.
+  constexpr std::size_t k = 1024;
+  Rng rng(3);
+  // Every 8th node stays idle; the others hold and take non-zero keys.
+  std::vector<double> keys(k);
+  for (std::size_t i = 0; i < k; ++i) keys[i] = i % 8 == 0 ? 0.0 : 1.0;
+  core::BacklogIndex index(keys);
+  std::vector<bool> changed(k, false);
+  for (int w = 0; w < 10000; ++w) {
+    const std::size_t i = 8 * rng.below(k / 8) + 1 + rng.below(7);
+    const double key = 0.5 * static_cast<double>(1 + rng.below(6));
+    if (key != keys[i]) changed[i] = true;
+    keys[i] = key;
+    index.set(i, key);
+    const std::size_t lo = rng.below(k - 8);
+    const std::size_t hi = lo + 8 + rng.below(k - 8 - lo + 1);
+    const core::BacklogIndex::Min m = index.min_over(lo, hi);
+    ASSERT_EQ(m.key, 0.0);
+    ASSERT_EQ(index.nth_min(lo, hi, m.key, rng.below(m.count)) % 8, 0u);
+  }
+  std::size_t distinct = 0;
+  for (const bool b : changed) distinct += b;
+  EXPECT_EQ(index.flush(), distinct);
+  expect_flushed_tree_matches(index, keys);
 }
 
 TEST(LoadModel, ExactReadsLiveAccounts) {

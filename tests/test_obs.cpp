@@ -16,6 +16,7 @@
 #include "dsrt/core/serial_strategies.hpp"
 #include "dsrt/engine/runner.hpp"
 #include "dsrt/obs/attribution.hpp"
+#include "dsrt/obs/probes.hpp"
 #include "dsrt/obs/registry.hpp"
 #include "dsrt/obs/tee.hpp"
 #include "dsrt/obs/trace_export.hpp"
@@ -203,6 +204,32 @@ TEST(ObsProbes, LoadModelAndPlacementCounters) {
   EXPECT_GE(m.counters.value_or("load_model.mean_read_age"), 0.0);
   EXPECT_LE(m.counters.value_or("load_model.mean_read_age"), 5.0);
   EXPECT_GT(m.counters.value_or("placement.decisions"), 0.0);
+}
+
+TEST(ObsProbes, JsqIndexCountersSplitTheDecisions) {
+  // Exact jsq-pex over "any compute node" intervals: with no node ever
+  // down, the index answers every decision, from its zero class or from
+  // its tree. Harvesting the counters reads nothing from the board.
+  system::Config cfg = system::baseline_combined();
+  cfg.nodes = 64;
+  cfg.horizon = 5000;
+  cfg.probes = true;
+  cfg.placement = core::PlacementSpec::parse("jsq-pex");
+  cfg.load_model = core::LoadModelSpec::parse("exact");
+  system::SimulationRun run(cfg, 0);
+  const system::RunMetrics m = run.run();
+  const double zero = m.counters.value_or("placement.index_zero_answers");
+  const double tree = m.counters.value_or("placement.index_tree_answers");
+  EXPECT_GT(zero, 0.0);
+  EXPECT_GT(tree, 0.0);
+  EXPECT_EQ(zero + tree, m.counters.value_or("placement.decisions"));
+  EXPECT_GT(m.counters.value_or("placement.index_flushed_leaves"), 0.0);
+  obs::Registry again;
+  obs::probe_run(run, again);
+  const obs::Snapshot second = again.snapshot();
+  EXPECT_EQ(second.value_or("load_model.reads"),
+            m.counters.value_or("load_model.reads"));
+  EXPECT_EQ(second.value_or("placement.index_tree_answers"), tree);
 }
 
 // ------------------------------------------------------------- attribution

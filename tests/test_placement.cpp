@@ -307,13 +307,15 @@ RandomDecision random_decision(Rng& rng, std::size_t k) {
 /// zero, so exact ties and zeros abound; some nodes go down, and now and
 /// then the whole board does (the +inf minimum the index leaves to the
 /// scan).
-void scramble(LoadBoard& board, Rng& rng, sim::Time now) {
+/// Up to `max_writes` random account writes (or, rarely, every node down).
+void scramble(LoadBoard& board, Rng& rng, sim::Time now,
+              std::size_t max_writes = 6) {
   static constexpr double kSteps[] = {0.5, 1.0, 2.0};
   if (rng.uniform01() < 0.03) {
     for (std::size_t i = 0; i < board.size(); ++i) board[i].set_down(true);
     return;
   }
-  const std::size_t writes = 1 + rng.below(6);
+  const std::size_t writes = 1 + rng.below(max_writes);
   for (std::size_t w = 0; w < writes; ++w) {
     LoadAccount& acct = board[rng.below(board.size())];
     const double step = kSteps[rng.below(3)];
@@ -347,8 +349,8 @@ TEST(CandidateView, EveryPolicyMatchesTheMaterializedReference) {
   // board's index when the model exposes one) must choose the node the
   // plain span path chooses, and leave the same counters and rng state.
   enum Model { kExact, kForwarding, kNone };
-  std::uint64_t indexed = 0;
-  for (const std::size_t k : {1u, 2u, 7u, 64u, 300u}) {
+  std::uint64_t indexed = 0, zero_answers = 0, tree_answers = 0;
+  for (const std::size_t k : {1u, 2u, 7u, 64u, 300u, 1024u}) {
     for (const char* name :
          {"static", "jsq-pex", "jsq-util", "pod:1", "pod:2", "pod:3",
           "pod:8"}) {
@@ -368,7 +370,9 @@ TEST(CandidateView, EveryPolicyMatchesTheMaterializedReference) {
         const PlacementPolicyPtr ref = make_placement(spec, 17);
         for (int step = 0; step < 400; ++step) {
           const sim::Time now = step;
-          scramble(board, rng, now);
+          // Every 20th step is a burst of up to 200 writes, so the
+          // index meets many dirty leaves between two decisions.
+          scramble(board, rng, now, step % 20 == 19 ? 200 : 6);
           const RandomDecision d = random_decision(rng, k);
           PlacementContext ctx;
           ctx.now = now;
@@ -385,11 +389,19 @@ TEST(CandidateView, EveryPolicyMatchesTheMaterializedReference) {
             ++indexed;
           expect_same_state(*view, *ref);
         }
+        if (const auto* jsq = dynamic_cast<const JsqPlacement*>(view.get())) {
+          zero_answers += jsq->index_counters().zero_answers;
+          tree_answers += jsq->index_counters().tree_answers;
+        }
       }
     }
   }
-  // The index path really ran (jsq-pex over intervals of the exact model).
+  // The index path really ran (jsq-pex over intervals of the exact model),
+  // and both its zero class and its tree answered.
   EXPECT_GT(indexed, 200u);
+  EXPECT_GE(zero_answers + tree_answers, indexed);
+  EXPECT_GT(zero_answers, 100u);
+  EXPECT_GT(tree_answers, 100u);
 }
 
 TEST(CandidateView, IndexesSkipAndContainPositions) {

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 
 #include "dsrt/core/task_spec.hpp"
 #include "dsrt/system/baseline.hpp"
@@ -60,7 +61,11 @@ TEST(TraceSpecGrammar, RejectsMalformedShapes) {
   core::TaskSpec out;
   for (const char* bad : {"", "S()", "1.0/1.0", "1.0/1.0@2{3..1}",
                           "1.0/1.0@2{1|3..5}", "S(1.0/1.0@2",
-                          "Q(1.0/1.0@2)", "1.0/1.0@x"}) {
+                          "Q(1.0/1.0@2)", "1.0/1.0@x",
+                          // exec and pex must be finite and >= 0
+                          "nan/1.0@2", "1.0/nan@2", "inf/1.0@2",
+                          "1.0/inf@2", "-0x1p+2/1.0@2", "1.0/-0x1p+2@2",
+                          "S(1.0/1.0@0 1.0/-1.0@1{0..3})"}) {
     SCOPED_TRACE(bad);
     EXPECT_THROW(workload::parse_spec_into(bad, builder, out),
                  std::invalid_argument);
@@ -149,6 +154,39 @@ TEST(TraceFile, LoadRejectsMalformedFiles) {
   write_file(bad_kind,
              "# dsrt workload trace v1\nX,0x1p0,2,0x1p0,0x1p0,0x1p1\n");
   EXPECT_THROW(workload::Trace::load(bad_kind), std::invalid_argument);
+
+  // Arrivals, exec and pex must be finite and >= 0; no field may be NaN
+  // (a deadline may be +inf). The error names the offending line.
+  const std::string header =
+      "# dsrt workload trace v1\n# nodes=6 link_nodes=0\n";
+  for (const char* record :
+       {"L,0x1p0,2,nan,0x1p0,0x1p1", "L,0x1p0,2,0x1p0,-0x1p+2,0x1p1",
+        "L,0x1p0,2,nan,-0x1p+2,0x1p1", "L,0x1p0,2,inf,0x1p0,0x1p1",
+        "L,0x1p0,2,0x1p0,inf,0x1p1", "L,-0x1p0,2,0x1p0,0x1p0,0x1p1",
+        "L,inf,2,0x1p0,0x1p0,inf", "L,nan,2,0x1p0,0x1p0,0x1p1",
+        "L,0x1p0,2,0x1p0,0x1p0,nan", "G,-0x1p0,0x1p2,0x1p0/0x1p0@1",
+        "G,0x1p0,nan,0x1p0/0x1p0@1", "G,0x1p0,0x1p2,0x1p0/nan@1",
+        "G,0x1p0,0x1p2,S(0x1p0/0x1p0@1 -0x1p0/0x1p0@2)"}) {
+    SCOPED_TRACE(record);
+    const std::string path = temp_path("bad_value.trace");
+    write_file(path, header + "L,0x1p0,2,0x1p0,0x1p0,0x1p1\n" + record +
+                         "\n");
+    try {
+      workload::Trace::load(path);
+      ADD_FAILURE() << "accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("at line 4"), std::string::npos)
+          << e.what();
+    }
+  }
+  // +inf deadlines and zero demands stay legal.
+  const std::string edge = temp_path("edge_values.trace");
+  write_file(edge, header + "L,0x0p+0,2,0x0p+0,0x0p+0,inf\n"
+                            "G,0x1p0,inf,0x0p+0/-0x0p+0@1\n");
+  const workload::Trace trace = workload::Trace::load(edge);
+  ASSERT_EQ(trace.locals.size(), 1u);
+  EXPECT_EQ(trace.locals[0].deadline, std::numeric_limits<double>::infinity());
+  ASSERT_EQ(trace.globals.size(), 1u);
 }
 
 /// Captures `cfg` (replication 0) to a file, replays it, and expects the
