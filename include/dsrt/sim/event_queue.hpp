@@ -46,35 +46,52 @@ enum class QueueMode : std::uint8_t { Adaptive };
 ///    kBuckets fixed-width epoch buckets, the width sized from the
 ///    firing-time density at the head of the set (~kBucketTarget entries
 ///    per head bucket). A bucket is a chain threaded through a per-slot
-///    `next` index, so the tier's storage is O(pending) whatever the
-///    bucket occupancy. The earliest non-empty bucket is spilled into the
-///    front and sorted, one bucket at a time, when the front runs dry.
-///    Pop is a `pop_back`; far-future pushes (at or beyond the front's
-///    latest entry — the common case for arrival timers) are O(1) chain
-///    prepends; near-now pushes that must interleave with the front
-///    (completion events) are one insertion step into a front that holds
-///    roughly one bucket's worth of entries. The top bucket is the
-///    beyond-epoch catch-all: instead of spilling, it re-seeds a fresh
-///    epoch (as does the overflow chain once an epoch is exhausted), so
-///    the front never inherits a whole epoch's tail. A front that outgrows
-///    its epoch (a burst of near-now pushes) re-seeds the whole ladder at
-///    the current density rather than grow into one long sorted array,
-///    where every insertion would pay a long memmove. At kSortLowWater the
-///    remaining entries gather back into the sorted tier (wide hysteresis,
-///    no thrash).
+///    `next` array, beside a per-slot (time, seq) key: 20 bytes per
+///    bucketed slot, so the tier's storage is O(pending) whatever the
+///    bucket occupancy, and a chain walk chases a compact array that
+///    stays cache-resident while the key loads it issues overlap. The
+///    earliest non-empty bucket is spilled into the front when the front
+///    runs dry, one bucket at a time. Pop is a `pop_back`; far-future
+///    pushes (at or beyond the front's latest entry — the common case for
+///    arrival timers) are O(1) chain prepends; near-now pushes that must
+///    interleave with the front (completion events) are one insertion
+///    step into a front that holds roughly one bucket's worth of entries.
+///    The top bucket is the beyond-epoch catch-all: instead of spilling,
+///    it re-seeds a fresh epoch (as does the overflow chain once an epoch
+///    is exhausted), so the front never inherits a whole epoch's tail. A
+///    front that outgrows its epoch (a burst of near-now pushes) re-seeds
+///    the whole ladder at the current density rather than grow into one
+///    long sorted array, where every insertion would pay a long memmove.
+///    At kSortLowWater the remaining entries gather back into the sorted
+///    tier (wide hysteresis, no thrash).
+///
+/// A spill is ordered by distribution, not by comparison (the ladder
+/// queue's idea of subdividing a bucket by time): the n spilled entries,
+/// whose times span [lo, hi], are ranked r = min(n-1, floor((hi - at) *
+/// (n / span))), placed by a counting pass over r, and finished by one
+/// insertion pass in the exact (time, seq) order. Rounded subtraction and
+/// multiplication by a positive constant are monotone, so r never rises
+/// as `at` grows: entries of different ranks are already in order and
+/// the insertion pass only reorders within a rank (equal times by seq).
+/// A spill falls back to a comparison sort when it holds fewer than
+/// kSpillMin or more than kSpillMax entries, when its span is zero or not
+/// finite (all entries at one instant, +inf timers), or when any rank
+/// holds more than kRankMax entries (a far outlier beside a tight
+/// cluster), so its worst case stays O(n log n). The rank, count and
+/// staging scratch is sized to kSpillMax once, on the first ladder entry.
 ///
 /// Both tiers pop in the identical (time, seq) total order — the ladder
 /// preserves it because (a) an entry joins the front only when it fires
 /// strictly before the front's latest entry (everything bucketed fires
 /// at-or-after that bound, since the time → bucket mapping is monotone
 /// and spills always take the earliest remaining bucket), (b) a bucket is
-/// sorted by (time, seq) when spilled, and (c) newly pushed entries
+/// ordered by (time, seq) when spilled, and (c) newly pushed entries
 /// always hold the globally largest seq, so bucketing an equal-time push
 /// is exactly FIFO. Tier switches are therefore invisible to the
 /// simulation (trajectories are bit-for-bit the same; the goldens pin
 /// this) and are surfaced only through the passive counters
-/// (`mode_flips`, `ladder_spills`, `ladder_epochs`) the obs probes
-/// harvest.
+/// (`mode_flips`, `ladder_spills`, `ladder_spilled`, `spill_fallbacks`,
+/// `ladder_epochs`) the obs probes harvest.
 class EventQueue {
  public:
   using Action = InlineAction;
@@ -135,6 +152,13 @@ class EventQueue {
   /// Ladder bucket spills (bucket -> sorted front) so far.
   std::uint64_t ladder_spills() const { return ladder_spills_; }
 
+  /// Entries those spills moved from buckets into the front.
+  std::uint64_t ladder_spilled() const { return ladder_spilled_; }
+
+  /// Spills ordered by the comparison-sort fallback rather than by the
+  /// counting pass (see the class comment for when).
+  std::uint64_t spill_fallbacks() const { return spill_fallbacks_; }
+
   /// Ladder epochs started so far (ladder entries, overflow re-seeds and
   /// re-seeds of an outgrown front).
   std::uint64_t ladder_epochs() const { return ladder_epochs_; }
@@ -165,6 +189,13 @@ class EventQueue {
   /// Front length past which a near-now push re-seeds the ladder instead
   /// of inserting (or twice the last spill, if that was longer).
   static constexpr std::size_t kFrontMax = 8 * kBucketTarget;
+  /// Spill sizes ordered by the counting pass; outside [kSpillMin,
+  /// kSpillMax] a spill is comparison-sorted. kSpillMax bounds the scratch.
+  static constexpr std::size_t kSpillMin = 8;
+  static constexpr std::size_t kSpillMax = kFrontMax;
+  /// Most entries one rank may hold before a spill falls back to the
+  /// comparison sort, bounding the insertion pass to O(n * kRankMax).
+  static constexpr std::uint32_t kRankMax = 8;
   /// End of a bucket chain.
   static constexpr std::uint32_t kNil = static_cast<std::uint32_t>(-1);
 
@@ -177,12 +208,10 @@ class EventQueue {
     std::uint32_t slot;  ///< index into slots_
   };
 
-  /// A bucketed entry, parked under its slot: its order key and the slot
-  /// of the next entry in the same chain (kNil ends the chain).
+  /// A bucketed entry's order key, parked under its slot.
   struct Link {
     Time at;
     std::uint64_t seq;
-    std::uint32_t next;
   };
 
   /// Strict weak order "fires earlier": (time, insertion sequence).
@@ -200,6 +229,7 @@ class EventQueue {
   void park(const Entry& entry, std::uint32_t& head);  ///< chain prepend
   void unpark_chain(std::uint32_t& head);  ///< append a chain to entries_
   void sort_front();  ///< entries_ to descending order
+  void spill(std::uint32_t& head);  ///< a bucket chain -> the empty front
   void ladder_push(const Entry& entry);
   void ladder_advance();          ///< spill/re-seed until the front fills
   void seed_epoch(std::uint32_t chain);  ///< size + distribute a chain
@@ -217,13 +247,15 @@ class EventQueue {
   std::size_t max_pending_ = 0;     ///< pending-set high-water mark
   std::uint64_t mode_flips_ = 0;    ///< layout transitions (all directions)
 
-  // Ladder state, set afresh by every epoch seed. bucket b owns firing times [start + b*w, start + (b+1)*w)
-  // of the current epoch; bucket indices clamp into [next_bucket_,
-  // kBuckets-1], which is always order-safe because a spill sorts and
-  // the top bucket is treated as unbounded. The overflow chain collects
-  // pushes that arrive after the whole epoch has spilled; exhausting the
-  // buckets re-seeds a new epoch from the overflow's span.
+  // Ladder state, set afresh by every epoch seed. Bucket b owns firing
+  // times [start + b*w, start + (b+1)*w) of the current epoch; bucket
+  // indices clamp into [next_bucket_, kBuckets-1], which is always
+  // order-safe because a spill orders its bucket and the top bucket is
+  // treated as unbounded. The overflow chain collects pushes that arrive
+  // after the whole epoch has spilled; exhausting the buckets re-seeds a
+  // new epoch from the overflow's span.
   std::vector<Link> links_;         ///< per slot; live while bucketed
+  std::vector<std::uint32_t> next_; ///< per slot: next in chain, or kNil
   std::vector<std::uint32_t> bucket_head_;  ///< kBuckets, built lazily
   std::uint32_t overflow_head_ = kNil;
   std::size_t extra_ = 0;           ///< entries in bucket/overflow chains
@@ -238,7 +270,13 @@ class EventQueue {
   Time front_max_ = 0;
   std::size_t front_limit_ = kFrontMax;  ///< see kFrontMax
   std::uint64_t ladder_spills_ = 0;
+  std::uint64_t ladder_spilled_ = 0;
+  std::uint64_t spill_fallbacks_ = 0;
   std::uint64_t ladder_epochs_ = 0;
+  // Spill scratch, kSpillMax each; empty until the ladder is first entered.
+  std::vector<Entry> stage_;          ///< a spilled chain, unparked
+  std::vector<std::uint32_t> rank_;   ///< per staged entry
+  std::vector<std::uint32_t> count_;  ///< per rank, then its start offset
 };
 
 }  // namespace dsrt::sim

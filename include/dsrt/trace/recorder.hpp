@@ -81,7 +81,9 @@ class Recorder final : public system::Observer {
   std::vector<TraceEvent> task_timeline(core::TaskId task) const;
 
  private:
-  void push(TraceEvent event);
+  /// The slot the next event is written into, or nullptr when it is only
+  /// counted (KeepHead full, or capacity 0).
+  TraceEvent* next_slot();
   std::size_t head() const {
     return mode_ == Overflow::KeepTail && events_.size() == capacity_ ? head_
                                                                      : 0;

@@ -27,6 +27,10 @@ void probe_run(const system::SimulationRun& run, Registry& reg) {
           static_cast<double>(queue.mode_flips()));
   reg.set(reg.counter("sim.queue.ladder_spills"),
           static_cast<double>(queue.ladder_spills()));
+  reg.set(reg.counter("sim.queue.ladder_spilled"),
+          static_cast<double>(queue.ladder_spilled()));
+  reg.set(reg.counter("sim.queue.spill_fallbacks"),
+          static_cast<double>(queue.spill_fallbacks()));
   reg.set(reg.counter("sim.queue.ladder_epochs"),
           static_cast<double>(queue.ladder_epochs()));
   reg.set(reg.gauge("sim.queue.pending_at_end"),

@@ -38,9 +38,9 @@ std::size_t EventQueue::clamped_bucket(Time at) const {
   // floating-point boundary can never classify the same time two ways.
   // NaN / below-epoch times map to bucket 0; at-or-beyond-epoch times
   // clamp into the top bucket (treated as unbounded — safe because every
-  // spill re-sorts); already-spilled buckets clamp up to next_bucket_
-  // (safe for the same reason: such entries fire after the whole front,
-  // whose test in ladder_push they just failed).
+  // spill orders its bucket); already-spilled buckets clamp up to
+  // next_bucket_ (safe for the same reason: such entries fire after the
+  // whole front, whose test in ladder_push they just failed).
   const double f = (at - bucket_start_) * bucket_inv_width_;
   std::size_t idx = 0;
   if (f >= static_cast<double>(kBuckets)) {
@@ -53,16 +53,20 @@ std::size_t EventQueue::clamped_bucket(Time at) const {
 }
 
 void EventQueue::park(const Entry& entry, std::uint32_t& head) {
-  // Links live under the entry's slot, so they need no storage beyond one
-  // record per slot ever allocated; growing with slots_' capacity keeps
-  // the resize to the pending set's high-water marks.
-  if (entry.slot >= links_.size()) links_.resize(slots_.capacity());
-  links_[entry.slot] = {entry.at, entry.seq, head};
+  // Keys and links live under the entry's slot, so they need no storage
+  // beyond one record per slot ever allocated; growing with slots_'
+  // capacity keeps the resize to the pending set's high-water marks.
+  if (entry.slot >= links_.size()) {
+    links_.resize(slots_.capacity());
+    next_.resize(slots_.capacity());
+  }
+  links_[entry.slot] = {entry.at, entry.seq};
+  next_[entry.slot] = head;
   head = entry.slot;
 }
 
 void EventQueue::unpark_chain(std::uint32_t& head) {
-  for (std::uint32_t s = head; s != kNil; s = links_[s].next)
+  for (std::uint32_t s = head; s != kNil; s = next_[s])
     entries_.push_back({links_[s].at, links_[s].seq, s});
   head = kNil;
 }
@@ -70,6 +74,71 @@ void EventQueue::unpark_chain(std::uint32_t& head) {
 void EventQueue::sort_front() {
   std::sort(entries_.begin(), entries_.end(),
             [](const Entry& a, const Entry& b) { return before(b, a); });
+}
+
+// Out of line, so neither ladder_advance nor pop carries its body.
+[[gnu::noinline]] void EventQueue::spill(std::uint32_t& head) {
+  // Unpark the chain into the staging buffer, noting its time span. The
+  // walk chases only next_, so the key loads it issues overlap.
+  Entry* const stage = stage_.data();
+  std::size_t n = 0;
+  Time lo = links_[head].at;
+  Time hi = lo;
+  std::uint32_t s = head;
+  for (; s != kNil && n < kSpillMax; s = next_[s]) {
+    const Link& link = links_[s];
+    stage[n++] = {link.at, link.seq, s};
+    lo = std::min(lo, link.at);
+    hi = std::max(hi, link.at);
+  }
+  head = kNil;
+  const double span = hi - lo;
+  const double scale = static_cast<double>(n) / span;
+  if (s == kNil && n >= kSpillMin && std::isfinite(span) && span > 0 &&
+      std::isfinite(scale)) {
+    // Rank by distance below the latest time, so rank 0 is the front's
+    // far end. The clamp also keeps a NaN time's rank in range.
+    std::uint32_t* const rank = rank_.data();
+    std::uint32_t* const count = count_.data();
+    std::fill_n(count, n, 0u);
+    const auto last = static_cast<std::uint32_t>(n - 1);
+    std::uint32_t crowd = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const double f = (hi - stage[i].at) * scale;
+      const std::uint32_t r =
+          f < static_cast<double>(last) ? static_cast<std::uint32_t>(f)
+                                        : last;
+      rank[i] = r;
+      crowd = std::max(crowd, ++count[r]);
+    }
+    if (crowd <= kRankMax) {
+      std::uint32_t start = 0;
+      for (std::size_t r = 0; r < n; ++r) {
+        const std::uint32_t c = count[r];
+        count[r] = start;
+        start += c;
+      }
+      entries_.resize(n);
+      Entry* const front = entries_.data();
+      for (std::size_t i = 0; i < n; ++i) front[count[rank[i]]++] = stage[i];
+      // Ranks are already in order; finish each one by (time, seq).
+      for (std::size_t i = 1; i < n; ++i) {
+        const Entry e = front[i];
+        std::size_t j = i;
+        while (j > 0 && before(front[j - 1], e)) {
+          front[j] = front[j - 1];
+          --j;
+        }
+        front[j] = e;
+      }
+      return;
+    }
+  }
+  // Too few, too many, one instant, unbounded or crowded: compare.
+  entries_.assign(stage, stage + n);
+  unpark_chain(s);
+  sort_front();
+  ++spill_fallbacks_;
 }
 
 void EventQueue::ladder_push(const Entry& entry) {
@@ -124,28 +193,28 @@ void EventQueue::ladder_advance() {
         // subdividable; the remainder (one shared instant, or nothing
         // finite — where re-bucketing cannot make progress) falls through
         // to the direct spill, which stays order-safe because the spill
-        // sorts.
+        // orders its entries.
         Time lo = links_[head].at;
         Time hi = lo;
         std::uint32_t tail = head;
-        for (std::uint32_t s = head; s != kNil; s = links_[s].next) {
+        for (std::uint32_t s = head; s != kNil; s = next_[s]) {
           if (links_[s].at < lo) lo = links_[s].at;
           if (links_[s].at > hi) hi = links_[s].at;
           tail = s;
         }
         if (std::isfinite(lo) && lo < hi) {
-          links_[tail].next = overflow_head_;
+          next_[tail] = overflow_head_;
           overflow_head_ = head;
           head = kNil;
           next_bucket_ = kBuckets;  // re-seed from the overflow below
           continue;
         }
       }
-      // Spill the earliest non-empty bucket into the (empty) front and
-      // sort it descending: ~kBucketTarget entries, cache-resident.
-      unpark_chain(head);
+      // Spill the earliest non-empty bucket into the (empty) front in
+      // descending order: ~kBucketTarget entries, cache-resident.
+      spill(head);
       extra_ -= entries_.size();
-      sort_front();
+      ladder_spilled_ += entries_.size();
       front_max_ = entries_.front().at;
       // Doubling the spill size keeps the re-seeds of a front that is
       // legitimately large (many entries at one instant) amortized O(1).
@@ -182,7 +251,7 @@ void EventQueue::seed_epoch(std::uint32_t chain) {
   Time hi = lo;
   double sum = 0;
   std::size_t count = 0;
-  for (std::uint32_t s = chain; s != kNil; s = links_[s].next) {
+  for (std::uint32_t s = chain; s != kNil; s = next_[s]) {
     const Time at = links_[s].at;
     if (at < lo) lo = at;
     if (at > hi) hi = at;
@@ -203,10 +272,9 @@ void EventQueue::seed_epoch(std::uint32_t chain) {
   bucket_inv_width_ = 1.0 / width;
   next_bucket_ = 0;
   for (std::uint32_t s = chain; s != kNil;) {
-    Link& link = links_[s];
-    const std::uint32_t next = link.next;
-    std::uint32_t& head = bucket_head_[clamped_bucket(link.at)];
-    link.next = head;
+    const std::uint32_t next = next_[s];
+    std::uint32_t& head = bucket_head_[clamped_bucket(links_[s].at)];
+    next_[s] = head;
     head = s;
     s = next;
   }
@@ -230,7 +298,12 @@ void EventQueue::gather() {
 }
 
 void EventQueue::enter_ladder() {
-  if (bucket_head_.empty()) bucket_head_.assign(kBuckets, kNil);
+  if (bucket_head_.empty()) {
+    bucket_head_.assign(kBuckets, kNil);
+    stage_.resize(kSpillMax);
+    rank_.resize(kSpillMax);
+    count_.resize(kSpillMax);
+  }
   layout_ = Layout::Ladder;
   ++mode_flips_;
   seed_from_entries();

@@ -24,50 +24,70 @@ Recorder::Recorder(std::size_t capacity, Overflow mode)
   events_.reserve(capacity < 1024 ? capacity : 1024);
 }
 
-void Recorder::push(TraceEvent event) {
-  if (events_.size() < capacity_) {
-    events_.push_back(event);
-    return;
-  }
+// Each hook writes its fields straight into the slot: building the event
+// first and copying it in stalls on a store-forwarding failure per event.
+inline TraceEvent* Recorder::next_slot() {
+  if (events_.size() < capacity_) return &events_.emplace_back();
   ++dropped_;
-  if (mode_ == Overflow::KeepTail && capacity_ > 0) {
-    events_[head_] = event;  // overwrite the oldest kept event
-    head_ = (head_ + 1) % capacity_;
-  }
+  if (mode_ != Overflow::KeepTail || capacity_ == 0) return nullptr;
+  TraceEvent* slot = &events_[head_];  // the oldest kept event
+  if (++head_ == capacity_) head_ = 0;
+  return slot;
 }
+
+namespace {
+
+void fill(TraceEvent* e, TraceKind kind, sim::Time at, core::TaskId task,
+          core::NodeId node, sim::Time deadline, std::size_t stage) {
+  e->kind = kind;
+  e->at = at;
+  e->task = task;
+  e->node = node;
+  e->deadline = deadline;
+  e->stage = stage;
+}
+
+}  // namespace
 
 void Recorder::on_local_submitted(core::NodeId node, const sched::Job& job,
                                   sim::Time now) {
-  push({TraceKind::LocalSubmit, now, 0, node, job.deadline, 0});
+  if (TraceEvent* e = next_slot())
+    fill(e, TraceKind::LocalSubmit, now, 0, node, job.deadline, 0);
 }
 
 void Recorder::on_global_arrival(core::TaskId task, const core::TaskSpec&,
                                  sim::Time now, sim::Time deadline) {
-  push({TraceKind::GlobalArrival, now, task, 0, deadline, 0});
+  if (TraceEvent* e = next_slot())
+    fill(e, TraceKind::GlobalArrival, now, task, 0, deadline, 0);
 }
 
 void Recorder::on_subtask_submitted(core::TaskId task,
                                     const core::LeafSubmission& submission,
                                     sim::Time now) {
-  push({TraceKind::SubtaskSubmit, now, task, submission.node,
-        submission.deadline, submission.sibling_index});
+  if (TraceEvent* e = next_slot())
+    fill(e, TraceKind::SubtaskSubmit, now, task, submission.node,
+         submission.deadline, submission.sibling_index);
 }
 
 void Recorder::on_job_disposed(const sched::Job& job, sim::Time now,
                                sched::JobOutcome outcome) {
-  push({outcome == sched::JobOutcome::Completed ? TraceKind::JobComplete
-                                                : TraceKind::JobAbort,
-        now, job.task, job.node, job.deadline, 0});
+  if (TraceEvent* e = next_slot())
+    fill(e,
+         outcome == sched::JobOutcome::Completed ? TraceKind::JobComplete
+                                                 : TraceKind::JobAbort,
+         now, job.task, job.node, job.deadline, 0);
 }
 
 void Recorder::on_global_finished(core::TaskId task, sim::Time now,
                                   bool missed) {
-  push({missed ? TraceKind::GlobalMiss : TraceKind::GlobalFinish, now, task,
-        0, 0, 0});
+  if (TraceEvent* e = next_slot())
+    fill(e, missed ? TraceKind::GlobalMiss : TraceKind::GlobalFinish, now,
+         task, 0, 0, 0);
 }
 
 void Recorder::on_global_aborted(core::TaskId task, sim::Time now) {
-  push({TraceKind::GlobalAbort, now, task, 0, 0, 0});
+  if (TraceEvent* e = next_slot())
+    fill(e, TraceKind::GlobalAbort, now, task, 0, 0, 0);
 }
 
 void Recorder::clear() {

@@ -152,18 +152,31 @@ class ReferenceQueue {
   std::uint64_t next_seq_ = 0;
 };
 
+/// One ladder spill, read off the queue's counters: how many entries it
+/// moved into the front, and whether the comparison-sort fallback
+/// ordered them.
+struct Spill {
+  std::uint64_t entries;
+  bool fell_back;
+};
+
 /// An EventQueue run in lockstep with a ReferenceQueue: every pop must
-/// fire the id the reference pops, at the reference's time.
+/// fire the id the reference pops, at the reference's time. Every spill
+/// is logged (a push or pop spills at most once).
 struct CheckedQueue {
   EventQueue q;
   ReferenceQueue ref;
   std::vector<int> fired;
+  std::vector<Spill> spills;
+  std::uint64_t seen_spilled = 0;
+  std::uint64_t seen_fallbacks = 0;
   int next_id = 0;
 
   void push(double at) {
     const int id = next_id++;
     q.push(at, [this, id] { fired.push_back(id); });
     ref.push(at, id);
+    note_spill();
   }
   /// Pops the earliest event and returns its time.
   double pop() {
@@ -171,7 +184,25 @@ struct CheckedQueue {
     EXPECT_EQ(at, ref.next_time());
     q.pop()();
     EXPECT_EQ(fired.back(), ref.pop());
+    note_spill();
     return at;
+  }
+  void note_spill() {
+    if (q.ladder_spills() == spills.size()) return;
+    EXPECT_EQ(q.ladder_spills(), spills.size() + 1);
+    spills.push_back({q.ladder_spilled() - seen_spilled,
+                      q.spill_fallbacks() != seen_fallbacks});
+    seen_spilled = q.ladder_spilled();
+    seen_fallbacks = q.spill_fallbacks();
+  }
+  /// Whether some spill of at least `min_entries` (and at most
+  /// `max_entries`) entries was ordered by the given path.
+  bool spilled(bool fell_back, std::uint64_t min_entries,
+               std::uint64_t max_entries = ~std::uint64_t{0}) const {
+    return std::any_of(spills.begin(), spills.end(), [&](const Spill& x) {
+      return x.fell_back == fell_back && x.entries >= min_entries &&
+             x.entries <= max_entries;
+    });
   }
   void drain() {
     while (!q.empty()) pop();
@@ -369,6 +400,122 @@ TEST(QueueTiers, LadderOrdersInfiniteTimersLast) {
     EXPECT_EQ(fired[static_cast<size_t>(i)], 299 - i);  // finite, ascending
   for (int i = 0; i < 300; ++i)
     EXPECT_EQ(fired[static_cast<size_t>(300 + i)], 1000000 + i);  // FIFO
+}
+
+// --- spills under adversarial time distributions ---------------------------
+//
+// A spill is ordered by a counting pass over its time span unless it is
+// too small, too large, spans zero or unbounded time, or crowds one rank;
+// then a comparison sort orders it. Either way it must pop the reference
+// order. Most schedules below hold 100+ clusters one time unit apart, so
+// head-density bucket sizing gives each cluster a bucket of its own.
+
+/// `x` moved up by `ulps` representable doubles.
+double ulps_above(double x, int ulps) {
+  for (int i = 0; i < ulps; ++i)
+    x = std::nextafter(x, std::numeric_limits<double>::infinity());
+  return x;
+}
+
+TEST(QueueTiers, SpillOfATightClusterAndAFarOutlierFallsBack) {
+  // Each bucket: 20 entries within a few ulps, and one outlier 1e-6
+  // later. Ranked by span, the whole cluster shares one rank,
+  // so the spill must fall back rather than insertion-sort the crowd.
+  CheckedQueue c;
+  dsrt::sim::Rng rng(11);
+  for (int g = 1; g <= 150; ++g) {
+    const double base = static_cast<double>(g);
+    c.push(base + 1e-6);
+    for (int i = 0; i < 20; ++i)
+      c.push(ulps_above(base, static_cast<int>(rng.uniform01() * 6.0)));
+  }
+  c.drain();
+  EXPECT_TRUE(c.spilled(true, 21, 21));
+}
+
+TEST(QueueTiers, SpillOfTimesAFewUlpsApartCounts) {
+  // Each bucket: 24 entries at most 47 ulps apart. The span is tiny but
+  // finite, the ranks spread, and the counting pass orders the spill.
+  CheckedQueue c;
+  dsrt::sim::Rng rng(12);
+  for (int g = 1; g <= 150; ++g) {
+    for (int i = 0; i < 24; ++i)
+      c.push(ulps_above(static_cast<double>(g),
+                        static_cast<int>(rng.uniform01() * 48.0)));
+  }
+  c.drain();
+  EXPECT_TRUE(c.spilled(false, 16));
+}
+
+TEST(QueueTiers, EqualTimeRunsInsideACountedSpillStayFifo) {
+  // Each bucket: runs of 1-6 equal times at spread offsets. Equal times
+  // share a rank, and the insertion pass orders them by sequence. Pushes
+  // interleave across clusters, so a run's sequence numbers are far apart
+  // and interleave with other runs'.
+  CheckedQueue c;
+  dsrt::sim::Rng rng(13);
+  std::vector<double> times;
+  for (int g = 1; g <= 120; ++g) {
+    for (int k = 0; k < 8; ++k) {
+      const double at = g + k / 64.0 + rng.uniform01() / 128.0;
+      const int run = 1 + static_cast<int>(rng.uniform01() * 6.0);
+      for (int r = 0; r < run; ++r) times.push_back(at);
+    }
+  }
+  for (std::size_t i = times.size(); i > 1; --i) {  // Fisher-Yates
+    const auto j = static_cast<std::size_t>(rng.uniform01() *
+                                            static_cast<double>(i));
+    std::swap(times[i - 1], times[std::min(j, i - 1)]);
+  }
+  for (double at : times) c.push(at);
+  c.drain();
+  EXPECT_TRUE(c.spilled(false, 16));
+}
+
+TEST(QueueTiers, LongEqualTimeRunsInsideASpillStayFifo) {
+  // Each bucket: one run of 30 equal times beside a few spread entries,
+  // more than one rank may hold, so the spill falls back; a bucket of one
+  // instant (zero span) falls back too.
+  CheckedQueue c;
+  dsrt::sim::Rng rng(14);
+  for (int round = 0; round < 30; ++round) {
+    for (int g = 1; g <= 100; ++g) {
+      c.push(static_cast<double>(g) + 0.25);
+      if (round % 3 == 0) c.push(g + rng.uniform01() / 4.0);
+    }
+  }
+  c.drain();
+  EXPECT_TRUE(c.spilled(true, 30));
+}
+
+TEST(QueueTiers, InfiniteTimersMixedIntoSpillsFallBack) {
+  // +inf timers mixed among finite churn: a spill holding one has no
+  // finite span, and the last ones spill together at one instant.
+  CheckedQueue c;
+  dsrt::sim::Rng rng(15);
+  const double inf = std::numeric_limits<double>::infinity();
+  double now = 0;
+  for (int i = 0; i < 3000; ++i)
+    c.push(i % 7 == 0 ? inf : now + 1.0 + rng.uniform01() * 100.0);
+  for (int round = 0; round < 20000; ++round) {
+    now = c.pop();
+    c.push(round % 11 == 0 ? inf : now + 1.0 + rng.uniform01() * 100.0);
+  }
+  c.drain();
+  EXPECT_TRUE(c.spilled(false, 16));  // the finite churn counts
+  EXPECT_TRUE(c.spilled(true, 256));  // the +inf tail falls back
+}
+
+TEST(QueueTiers, SpillAboveTheCapFallsBack) {
+  // A dense bucket of hundreds of spread entries beside a sparse far
+  // tail: past the scratch cap, so the spill stages what fits, appends
+  // the rest of its chain, and falls back.
+  CheckedQueue c;
+  dsrt::sim::Rng rng(16);
+  for (int i = 0; i < 400; ++i) c.push(1000.0 + rng.uniform01() * 1000.0);
+  for (int i = 0; i < 600; ++i) c.push(5.0 + rng.uniform01() * 1e-3);
+  c.drain();
+  EXPECT_TRUE(c.spilled(true, 257));
 }
 
 TEST(QueueTiers, ReserveDoesNotDisturbOrderOrCounters) {

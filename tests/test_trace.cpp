@@ -1,7 +1,9 @@
 // Tests for the observer hooks, trace recorder, and slack profiler.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <sstream>
+#include <vector>
 
 #include "dsrt/core/serial_strategies.hpp"
 #include "dsrt/obs/tee.hpp"
@@ -117,6 +119,65 @@ TEST(Recorder, KeepTailRingKeepsMostRecent) {
   tail.clear();
   EXPECT_TRUE(tail.events().empty());
   EXPECT_EQ(tail.dropped(), 0u);
+}
+
+void expect_same_event(const trace::TraceEvent& a, const trace::TraceEvent& b) {
+  EXPECT_EQ(a.kind, b.kind);
+  EXPECT_EQ(a.at, b.at);
+  EXPECT_EQ(a.task, b.task);
+  EXPECT_EQ(a.node, b.node);
+  EXPECT_EQ(a.deadline, b.deadline);
+  EXPECT_EQ(a.stage, b.stage);
+}
+
+TEST(Recorder, KeepTailRingHoldsTheRunsLastEvents) {
+  // Whatever its capacity, a ring that wrapped many times keeps exactly
+  // the last `capacity` events an unbounded recorder saw on the same tee,
+  // field by field and in order.
+  const std::size_t capacities[] = {1, 7, 4096};
+  trace::Recorder all(std::size_t{1} << 22);
+  std::vector<std::unique_ptr<trace::Recorder>> rings;
+  obs::ObserverTee tee;
+  tee.attach(&all);
+  for (std::size_t c : capacities) {
+    rings.push_back(
+        std::make_unique<trace::Recorder>(c, trace::Overflow::KeepTail));
+    tee.attach(rings.back().get());
+  }
+  system::Config cfg = tiny_config();
+  cfg.horizon = 20000;
+  system::SimulationRun run(cfg, 0);
+  run.set_observer(&tee);
+  run.run();
+
+  const std::vector<trace::TraceEvent>& seen = all.events();
+  ASSERT_EQ(all.dropped(), 0u);
+  ASSERT_GT(seen.size(), 10 * capacities[2]);  // the largest ring wraps 10+
+  for (const auto& ring : rings) {
+    const std::size_t c = ring->events().size();
+    SCOPED_TRACE(c);
+    ASSERT_EQ(ring->dropped(), seen.size() - c);
+    const std::vector<trace::TraceEvent> kept = ring->ordered();
+    ASSERT_EQ(kept.size(), c);
+    const std::size_t first = seen.size() - c;
+    for (std::size_t i = 0; i < c; ++i)
+      expect_same_event(kept[i], seen[first + i]);
+
+    // A task's timeline is its events among the kept tail, in order.
+    for (const trace::TraceEvent& probe : {kept.front(), kept.back()}) {
+      std::vector<trace::TraceEvent> expected;
+      for (std::size_t i = first; i < seen.size(); ++i)
+        if (seen[i].task == probe.task) expected.push_back(seen[i]);
+      const std::vector<trace::TraceEvent> timeline =
+          ring->task_timeline(probe.task);
+      ASSERT_EQ(timeline.size(), expected.size());
+      for (std::size_t i = 0; i < expected.size(); ++i)
+        expect_same_event(timeline[i], expected[i]);
+    }
+  }
+  EXPECT_EQ(rings[0]->events().size(), 1u);
+  EXPECT_EQ(rings[1]->events().size(), 7u);
+  EXPECT_EQ(rings[2]->events().size(), 4096u);
 }
 
 TEST(Recorder, PrintSurfacesDroppedCount) {
