@@ -35,12 +35,12 @@ struct NodeLoad {
 
 /// The jsq-pex placement keys of a LoadBoard (+inf when a node is down,
 /// else its queued pex — the very double jsq-pex's scan compares), split
-/// by the one value that dominates them. Keys of exactly 0 (idle nodes
-/// without rounding residue; the least key the board holds) live in a
-/// bitset over node ids. A (min, count) tournament tree keeps the other
-/// keys, a zero leaf being stored as (+inf, 0): each inner vertex holds
-/// the minimum over its subtree and how many leaves attain it, in one
-/// 16-byte record.
+/// by the one value that dominates them. Keys of exactly 0 (idle nodes,
+/// since an account holding no job reads exactly 0; the least key the
+/// board holds) live in a bitset over node ids. A (min, count) tournament
+/// tree keeps the other keys, a zero leaf being stored as (+inf, 0): each
+/// inner vertex holds the minimum over its subtree and how many leaves
+/// attain it, in one 16-byte record.
 ///
 /// A write is a bit update plus, the first time a leaf changes after a
 /// flush, one append to a dirty list. The tree is brought up to date only
@@ -184,11 +184,16 @@ class LoadAccount {
   /// A job arrived at the node (enters queue or service).
   void add_backlog(double pex) {
     backlog_ += pex;
+    ++jobs_;
     publish();
   }
-  /// A job left the node (completed or aborted).
+  /// A job left the node (completed, aborted or failed). The last job out
+  /// leaves a backlog of exactly 0, not the rounding residue of its adds
+  /// and subtracts, so idle nodes tie exactly. A remove with no job held
+  /// keeps the count at 0.
   void remove_backlog(double pex) {
-    backlog_ -= pex;
+    if (jobs_ != 0) --jobs_;
+    backlog_ = jobs_ == 0 ? 0.0 : backlog_ - pex;
     if (backlog_ < 0) backlog_ = 0;  // guard pex rounding drift
     publish();
   }
@@ -235,6 +240,9 @@ class LoadAccount {
   mutable BacklogIndex* index_ = nullptr;
   mutable std::uint32_t slot_ = 0;
   std::uint32_t queue_length_ = 0;
+  /// Jobs at the node (queued + in service), counted by add_backlog and
+  /// remove_backlog. It fills padding: the account stays 56 bytes.
+  std::uint32_t jobs_ = 0;
   bool down_ = false;
   bool busy_ = false;
 };

@@ -203,10 +203,11 @@ class StaticPlacement final : public PlacementPolicy {
 /// Cost: `jsq-pex` over an interval candidate set, with a model that
 /// exposes a BacklogIndex (the exact model does), takes one model read and
 /// gives the scan's answer, counters and sequence step exactly. When some
-/// candidate's key is exactly 0 (an idle node without rounding residue),
-/// the zero bitset answers in O(k/64 + |taken|) word operations: (0, zeros)
-/// over the interval minus the taken nodes — O(|taken|) when the interval
-/// is the whole board — then the (seq % zeros)-th zero in node order.
+/// candidate's key is exactly 0 (an idle node, since an empty account
+/// reads exactly 0), the zero bitset answers in O(k/64 + |taken|) word
+/// operations: (0, zeros) over the interval minus the taken nodes —
+/// O(|taken|) when the interval is the whole board — then the
+/// (seq % zeros)-th zero in node order.
 /// Otherwise the tree is flushed (each leaf written since the last flush
 /// re-pulls its changed ancestors) and answers in O((|taken| + 1) log k):
 /// (min, ties), then the (seq % ties)-th minimum. Everything else scans the

@@ -59,9 +59,13 @@ class Runner {
   std::size_t jobs() const { return jobs_; }
 
   /// Runs `replications` independent replications of `config` (seeded from
-  /// config.seed) and aggregates them with system::aggregate_runs.
-  system::ExperimentResult run_replications(const system::Config& config,
-                                            std::size_t replications) const;
+  /// config.seed) and aggregates them with system::aggregate_runs. When
+  /// `run_seconds` is given it receives each replication's own run time in
+  /// seconds (replication order), which does not shrink with the job count
+  /// the way the call's wall time does.
+  system::ExperimentResult run_replications(
+      const system::Config& config, std::size_t replications,
+      std::vector<double>* run_seconds = nullptr) const;
 
   /// Expands `grid` over `base` and runs every (point, replication) unit
   /// on one shared pool — points and replications interleave freely, so a

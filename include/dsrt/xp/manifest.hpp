@@ -13,10 +13,11 @@
 namespace dsrt::xp {
 
 /// One executed grid point as the metric selectors see it: the replication
-/// aggregate plus the measured wall time of the point.
+/// aggregate plus the summed run time of its replications, each timed on
+/// its own, so the figure does not depend on how many ran at once.
 struct PointRun {
   const system::ExperimentResult& result;
-  double wall_seconds = 0;
+  double run_seconds = 0;
 };
 
 /// One checked metric of a sweep point.
@@ -40,8 +41,9 @@ struct MetricSpec {
 
 /// The standard metric set shared by the built-in manifests: bitwise
 /// md_local / md_global / md_overall / finished_local / finished_global /
-/// events, plus a banded events_per_sec. The generous default band (a
-/// factor of 10 in either direction) absorbs dev-box-vs-CI hardware
+/// events, plus a banded events_per_sec: events over the replications'
+/// summed run time, so `--jobs` leaves it alone. The generous default band
+/// (a factor of 10 in either direction) absorbs dev-box-vs-CI hardware
 /// spread while still catching a catastrophic slowdown; tighten it per
 /// manifest if blessed and checked on the same class of machine.
 std::vector<MetricSpec> default_metrics(double ev_per_sec_rel_tol = 9.0);

@@ -85,7 +85,7 @@ struct GridRun {
 /// overrides applied — at `replications` per point. At base() and the
 /// manifest's replication count every Exact metric is bitwise what
 /// run_point records and `sweep_cli check` verifies. A pooled sweep does
-/// not time single points, so Relative metrics see wall_seconds = 0.
+/// not time single points, so Relative metrics see run_seconds = 0.
 GridRun run_grid(const Manifest& manifest, const system::Config& base,
                  std::size_t replications, std::size_t jobs);
 

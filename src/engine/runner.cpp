@@ -16,15 +16,22 @@ Runner::Runner(RunnerOptions options)
       jobs_(options.jobs == 0 ? ThreadPool::default_jobs() : options.jobs) {}
 
 system::ExperimentResult Runner::run_replications(
-    const system::Config& config, std::size_t replications) const {
+    const system::Config& config, std::size_t replications,
+    std::vector<double>* run_seconds) const {
   if (replications == 0)
     throw std::invalid_argument("Runner::run_replications: zero replications");
   config.validate();
 
   std::vector<system::RunMetrics> runs(replications);
+  if (run_seconds) run_seconds->assign(replications, 0.0);
   ThreadPool pool(std::min(jobs_, replications));
   parallel_for_index(pool, replications, [&](std::size_t r) {
+    const auto start = std::chrono::steady_clock::now();
     runs[r] = system::simulate(config, r);
+    if (run_seconds)
+      (*run_seconds)[r] = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - start)
+                              .count();
   });
   return system::aggregate_runs(std::move(runs), options_.confidence);
 }

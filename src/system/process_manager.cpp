@@ -40,7 +40,13 @@ ProcessManager::ProcessManager(sim::Simulator& sim,
 }
 
 void ProcessManager::reserve_for_scale(std::size_t nodes) {
-  const std::size_t want = std::max<std::size_t>(256, 2 * nodes);
+  // The baseline configs peak at ~k/6 live instances (~720 at k=4096,
+  // 119 at k=1024). k/8 slots of ~256 B keep the k=4096 block at 128 KiB;
+  // a run that holds more doubles the pool once, early, before its steady
+  // state. A 2k-slot reserve (2 MiB at k=4096, never filled) made the
+  // k=4096 benchmark's peak RSS 11.9 or 13.9 MB by seed; k/8 reads ~12.0
+  // at both, k/4 ~0.15 MB more.
+  const std::size_t want = std::max<std::size_t>(256, nodes / 8);
   if (want > slots_.capacity()) slots_.reserve(want);
   if (want > free_slots_.capacity()) free_slots_.reserve(want);
   const std::size_t scratch = std::max<std::size_t>(16, nodes);

@@ -43,8 +43,8 @@ std::vector<MetricSpec> default_metrics(double ev_per_sec_rel_tol) {
                        double events = 0;
                        for (const auto& run : p.result.runs)
                          events += static_cast<double>(run.events);
-                       return p.wall_seconds > 0 ? events / p.wall_seconds
-                                                 : 0.0;
+                       return p.run_seconds > 0 ? events / p.run_seconds
+                                                : 0.0;
                      }});
   return metrics;
 }

@@ -27,7 +27,7 @@ bool parse_size(std::string_view text, std::size_t& out) {
 PointRecord make_record(const Manifest& manifest,
                         const engine::SweepPoint& point,
                         const system::ExperimentResult& result,
-                        double wall_seconds) {
+                        double wall_seconds, double run_seconds) {
   PointRecord record;
   record.index = point.ordinal;
   record.labels = point.labels;
@@ -35,7 +35,7 @@ PointRecord make_record(const Manifest& manifest,
   record.seed = point.config.seed;
   record.replications = result.runs.size();
   record.wall_seconds = wall_seconds;
-  const PointRun run{result, wall_seconds};
+  const PointRun run{result, run_seconds};
   for (const MetricSpec& metric : manifest.metrics)
     record.metrics.emplace_back(metric.name, metric.select(run));
   return record;
@@ -68,13 +68,16 @@ PointRecord run_point(const Manifest& manifest,
   options.jobs = jobs;
   const engine::Runner runner(options);
 
+  std::vector<double> run_seconds;
   const auto start = std::chrono::steady_clock::now();
-  const system::ExperimentResult result =
-      runner.run_replications(point.config, manifest.replications);
+  const system::ExperimentResult result = runner.run_replications(
+      point.config, manifest.replications, &run_seconds);
   const double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
-  return make_record(manifest, point, result, wall);
+  double summed = 0;
+  for (const double seconds : run_seconds) summed += seconds;
+  return make_record(manifest, point, result, wall, summed);
 }
 
 RunSummary run_manifest(const Manifest& manifest,
@@ -171,7 +174,7 @@ GridRun run_grid(const Manifest& manifest, const system::Config& base,
   run.sweep =
       engine::Runner(options).run_sweep(manifest.grid(), base, replications);
   for (const engine::PointResult& pr : run.sweep.points)
-    run.records.push_back(make_record(manifest, pr.point, pr.result, 0));
+    run.records.push_back(make_record(manifest, pr.point, pr.result, 0, 0));
   return run;
 }
 

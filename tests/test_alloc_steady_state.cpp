@@ -370,8 +370,9 @@ TEST(AllocFootprint, K4096RunConstructionStaysSmall) {
   const std::uint64_t before = dsrt::testing::allocated_bytes();
   system::SimulationRun run(cfg);
   const std::uint64_t bytes = dsrt::testing::allocated_bytes() - before;
-  // Measured 9.76 MB (x86-64, g++ 12, libstdc++); the bound keeps ~1.5x
-  // headroom. A ready queue reserved 128 deep per node would add ~59 MB.
+  // Measured 7.76 MB (x86-64, g++ 12, libstdc++; 9.76 MB while the task
+  // pool reserved 2k slots); the bound keeps the headroom it had. A ready
+  // queue reserved 128 deep per node would add ~59 MB.
   constexpr std::uint64_t kBoundBytes = 15'000'000;
   EXPECT_LT(bytes, kBoundBytes)
       << "building the k=4096 run requested " << bytes << " bytes";

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <sstream>
 #include <vector>
 
@@ -202,6 +203,39 @@ TEST(Runner, ParallelReplicationsMatchSerialBitForBit) {
   EXPECT_EQ(serial.md_global.mean, threaded4.md_global.mean);
   EXPECT_EQ(serial.md_global.half_width, threaded4.md_global.half_width);
   EXPECT_EQ(serial.utilization.mean, threaded4.utilization.mean);
+}
+
+TEST(Runner, RunSecondsTimeEachReplicationOnItsOwn) {
+  // Each replication's run time lands in its slot. On one job the
+  // replications run one after another inside the call, so their times
+  // sum to at most its wall time; on three they overlap, which changes
+  // neither the results nor the slot count.
+  const system::Config cfg = tiny_config();
+  engine::RunnerOptions one_job;
+  one_job.jobs = 1;
+  std::vector<double> seconds;
+  const auto start = std::chrono::steady_clock::now();
+  const auto serial =
+      engine::Runner(one_job).run_replications(cfg, 3, &seconds);
+  const double wall =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+          .count();
+  ASSERT_EQ(seconds.size(), 3u);
+  double sum = 0;
+  for (const double s : seconds) {
+    EXPECT_GT(s, 0.0);
+    sum += s;
+  }
+  EXPECT_LE(sum, wall);
+
+  engine::RunnerOptions three_jobs;
+  three_jobs.jobs = 3;
+  std::vector<double> threaded_seconds = {1.0};
+  const auto threaded = engine::Runner(three_jobs).run_replications(
+      cfg, 3, &threaded_seconds);
+  expect_identical_runs(serial.runs, threaded.runs);
+  ASSERT_EQ(threaded_seconds.size(), 3u);
+  for (const double s : threaded_seconds) EXPECT_GT(s, 0.0);
 }
 
 TEST(Runner, SweepMatchesPerPointSerialRuns) {

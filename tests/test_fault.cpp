@@ -393,20 +393,21 @@ TEST(FaultGolden, CrashRetryJsqPexRep0) {
   // placement, replication 0, down to the last bit. Any drift in fault
   // event order, orphan disposal order, or retry placement shows up here.
   const system::RunMetrics m = system::simulate(faulty_golden_config(), 0);
-  EXPECT_EQ(m.events, 262074u);
+  EXPECT_EQ(m.events, 262096u);
   EXPECT_EQ(m.local.generated, 112361u);
   EXPECT_EQ(m.global.generated, 9316u);
   // Locals die with their node; almost every global orphan is rescued by
-  // the budget-2 retries (8 of ~11k crash victims exhaust it).
-  EXPECT_EQ(m.local.failed, 11011u);
-  EXPECT_EQ(m.global.failed, 8u);
-  EXPECT_EQ(m.local.missed.trials(), 112361u);
-  EXPECT_EQ(m.local.missed.hits(), 33407u);
+  // the budget-2 retries (2 of ~11k crash victims exhaust it). Re-pinned
+  // when an empty account's backlog became exactly 0, so idle nodes tie.
+  EXPECT_EQ(m.local.failed, 10987u);
+  EXPECT_EQ(m.global.failed, 2u);
+  EXPECT_EQ(m.local.missed.trials(), 112357u);
+  EXPECT_EQ(m.local.missed.hits(), 33337u);
   EXPECT_EQ(m.global.missed.trials(), 9316u);
-  EXPECT_EQ(m.global.missed.hits(), 101u);
-  EXPECT_EQ(m.local.response.mean(), 0x1.baca8ff7d77a3p+0);
-  EXPECT_EQ(m.global.response.mean(), 0x1.0ca824907b7fcp+2);
-  EXPECT_EQ(m.mean_utilization, 0x1.d92af0baea96ap-2);
+  EXPECT_EQ(m.global.missed.hits(), 90u);
+  EXPECT_EQ(m.local.response.mean(), 0x1.bb5a9811233bap+0);
+  EXPECT_EQ(m.global.response.mean(), 0x1.0ce307967b74dp+2);
+  EXPECT_EQ(m.mean_utilization, 0x1.d923685b96939p-2);
 }
 
 TEST(FaultGolden, RunsAreDeterministic) {

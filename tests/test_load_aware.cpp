@@ -46,6 +46,54 @@ TEST(LoadAccount, BacklogTracksArrivalsAndDepartures) {
   EXPECT_DOUBLE_EQ(acct.read(0.0).queued_pex, 0.0);
 }
 
+TEST(LoadAccount, EmptyAccountReadsExactlyZeroWhateverTheOrder) {
+  // Every order of adding and removing 0.1, 0.2 and 0.7: while a job is
+  // held the key is the running double (add, subtract, clamp at 0), and
+  // the last job out leaves exactly 0, set in the index's zero bitset,
+  // where the running double leaves rounding residue for 20 of the 36.
+  std::vector<double> adds = {0.1, 0.2, 0.7};
+  core::LoadBoard board(1);
+  board[0].configure(10.0, 0.0);
+  const core::BacklogIndex& index = board.backlog_index();
+  std::size_t residue_orders = 0;
+  do {
+    std::vector<double> removes = adds;
+    do {
+      double running = 0;
+      for (const double pex : adds) {
+        board[0].add_backlog(pex);
+        running += pex;
+        ASSERT_EQ(board[0].pex_key(), running);
+      }
+      for (std::size_t r = 0; r < removes.size(); ++r) {
+        board[0].remove_backlog(removes[r]);
+        running = std::max(running - removes[r], 0.0);
+        if (r + 1 < removes.size()) ASSERT_EQ(board[0].pex_key(), running);
+      }
+      residue_orders += running != 0.0;
+      EXPECT_EQ(board[0].pex_key(), 0.0);
+      EXPECT_EQ(board[0].read(0.0).queued_pex, 0.0);
+      EXPECT_TRUE(index.is_zero(0));
+    } while (std::next_permutation(removes.begin(), removes.end()));
+  } while (std::next_permutation(adds.begin(), adds.end()));
+  EXPECT_GT(residue_orders, 0u);
+}
+
+TEST(LoadAccount, RemoveOnAnEmptyAccountKeepsTheJobCountAtZero) {
+  // A remove with no job held must not wrap the job count: the account
+  // would then read 0 one job too early.
+  core::LoadAccount acct;
+  acct.configure(10.0, 0.0);
+  acct.remove_backlog(99.0);
+  EXPECT_EQ(acct.pex_key(), 0.0);
+  acct.add_backlog(1.5);
+  acct.add_backlog(2.0);
+  acct.remove_backlog(2.0);
+  EXPECT_EQ(acct.pex_key(), 1.5);
+  acct.remove_backlog(1.5);
+  EXPECT_EQ(acct.pex_key(), 0.0);
+}
+
 TEST(LoadAccount, UtilizationEwmaDecaysInSimulatedTime) {
   core::LoadAccount acct;
   acct.configure(/*tau=*/10.0, 0.0);

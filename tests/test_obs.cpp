@@ -209,9 +209,13 @@ TEST(ObsProbes, LoadModelAndPlacementCounters) {
 TEST(ObsProbes, JsqIndexCountersSplitTheDecisions) {
   // Exact jsq-pex over "any compute node" intervals: with no node ever
   // down, the index answers every decision, from its zero class or from
-  // its tree. Harvesting the counters reads nothing from the board.
+  // its tree. Idle nodes read exactly 0, so at load 0.5 an idle candidate
+  // answers every decision; at 0.9 (~61k zero and ~10k tree answers) all
+  // candidates are sometimes busy and the tree must answer and flush.
+  // Harvesting the counters reads nothing from the board.
   system::Config cfg = system::baseline_combined();
   cfg.nodes = 64;
+  cfg.load = 0.9;
   cfg.horizon = 5000;
   cfg.probes = true;
   cfg.placement = core::PlacementSpec::parse("jsq-pex");

@@ -963,6 +963,26 @@ TEST(PlacementSystem, IdleBoardJsqMatchesStaticAtDistributionLevel) {
   EXPECT_NEAR(rr.mean_utilization, stat.mean_utilization, 0.01);
 }
 
+TEST(PlacementSystem, LightLoadJsqTiesAcrossIdleNodes) {
+  // At load 0.3 on k=6 most decisions see two or more idle nodes
+  // (P(>= 2 of 6 idle) is ~0.99 for independent nodes at utilization 0.3).
+  // Idle nodes read a backlog of exactly 0, so those decisions are exact
+  // ties that the rotation breaks, and the index's zero bitset answers
+  // nearly every one of them.
+  system::Config cfg = system::baseline_ssp();
+  cfg.horizon = 50000;
+  cfg.load = 0.3;
+  cfg.probes = true;
+  cfg.placement = PlacementSpec::parse("jsq-pex");
+  cfg.load_model = LoadModelSpec::parse("exact");
+  const system::RunMetrics m = system::simulate(cfg, 0);
+  const double decisions = m.counters.value_or("placement.decisions");
+  ASSERT_GT(decisions, 10000.0);
+  EXPECT_GE(m.counters.value_or("placement.exact_ties") / decisions, 0.9);
+  EXPECT_GE(m.counters.value_or("placement.index_zero_answers") / decisions,
+            0.99);
+}
+
 TEST(PlacementSystem, JsqBeatsStaticTowardSaturation) {
   // Routing to the shortest pex queue lowers the pooled miss ratio at
   // load 0.85 (deterministic seeds; a regression guard at test scale, the

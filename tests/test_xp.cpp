@@ -617,6 +617,22 @@ TEST(Checker, RelativeBandAbsorbsNoiseButCatchesCollapse) {
             std::string::npos);
 }
 
+TEST(Runner, EventsPerSecDividesByTheReplicationsRunTime) {
+  // events_per_sec divides by the replications' own run time, not the
+  // point's wall time: on one job their sum is at most the wall time, so
+  // the figure is at least events over wall.
+  const xp::Manifest manifest = tiny_manifest();
+  const std::vector<engine::SweepPoint> points = manifest.expand();
+  const xp::PointRecord record = xp::run_point(manifest, points[0], 1);
+  const double* events = record.metric("events");
+  const double* rate = record.metric("events_per_sec");
+  ASSERT_NE(events, nullptr);
+  ASSERT_NE(rate, nullptr);
+  ASSERT_GT(record.wall_seconds, 0.0);
+  EXPECT_GT(*rate, 0.0);
+  EXPECT_GE(*rate * record.wall_seconds, *events);
+}
+
 TEST(Checker, ConfigDriftAndStructuralMismatchesAreDistinct) {
   const xp::Manifest manifest = tiny_manifest();
   const std::string dir = scratch_dir("drift");
