@@ -19,8 +19,9 @@ namespace dsrt::obs {
 ///   sim.queue.max_pending (peak), sim.queue.mode_flips,
 ///   sim.queue.pending_at_end (gauge)
 ///   node.submitted/completed/aborted/preemptions (compute nodes),
-///   node.max_ready_depth (peak), node.ready_depth + node.util
-///   (histograms over the compute nodes at harvest time)
+///   node.max_ready_depth (peak), node.ready_depth (histogram of each
+///   compute node's time-average ready depth over the observation window),
+///   node.util (histogram of each compute node's utilization)
 ///   link.submitted/completed/aborted (when link nodes exist)
 ///   pool.slots (peak), pool.peak_live (peak), pool.live_at_end (gauge),
 ///   pool.recycled

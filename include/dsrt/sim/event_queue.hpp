@@ -9,6 +9,22 @@
 
 namespace dsrt::sim {
 
+/// Cache-line size the dispatch prefetches step by.
+inline constexpr std::size_t kCacheLine = 64;
+
+/// The window around an event's target (`InlineAction::target_hint`)
+/// that the ladder tier prefetches before the event fires: whole lines
+/// from kTargetBack before the target's line to kTargetSpan past the
+/// target. A simulation lays out each compute node's state in the order
+/// an event walks it — arrival process, local source, node, ready
+/// entries — so a source event's window holds its arrival process and
+/// its node, and a node event's its first ready entries; the simulation
+/// static_asserts that they fit. Two lines back, not one: a 72-byte
+/// Poisson process starts 80 B before its source, which is two lines back
+/// whenever the source starts a line.
+inline constexpr std::size_t kTargetBack = 2 * kCacheLine;
+inline constexpr std::size_t kTargetSpan = 9 * kCacheLine;
+
 /// Sole pending-set discipline; kept only for perfbench/traced.cpp's
 /// configure_queue call and deleted with it.
 enum class QueueMode : std::uint8_t { Adaptive };
@@ -27,11 +43,14 @@ enum class QueueMode : std::uint8_t { Adaptive };
 /// new high-water mark; `reserve` pre-sizes them for a known depth).
 ///
 /// Ladder-tier dispatch is software-pipelined: `pop` prefetches the
-/// action slot of the event two places ahead, and the object the next
-/// event's action captured first (`InlineAction::target_hint`), so at
-/// large k the cold slot, node and source lines of one event load while
-/// the previous one runs. Prefetches are hints only; they cannot change
-/// what fires.
+/// action slot of the event two places ahead, and a window around the
+/// object the next event's action captured first
+/// (`InlineAction::target_hint`): kTargetBack before it to kTargetSpan
+/// after it. So at large k the cold slot, arrival process, source, node
+/// and ready lines of one event load while the previous one runs. The
+/// sorted tier issues no prefetch: its few slots and targets stay in
+/// cache, so a prefetch there has no miss to hide and only costs issue
+/// slots. Prefetches are hints only; they cannot change what fires.
 ///
 /// The entry storage adapts across two tiers:
 ///

@@ -42,7 +42,9 @@ void probe_run(const system::SimulationRun& run, Registry& reg) {
   const MetricId aborted = reg.counter("node.aborted");
   const MetricId preemptions = reg.counter("node.preemptions");
   const MetricId max_ready = reg.peak("node.max_ready_depth");
-  const MetricId depth_hist = reg.histogram("node.ready_depth", 1.0, 64);
+  // Each node's time-average depth over the observation window; most sit
+  // below 1, hence the fine bins.
+  const MetricId depth_hist = reg.histogram("node.ready_depth", 0.05, 1280);
   const MetricId util_hist = reg.histogram("node.util", 0.02, 50);
   const auto& nodes = run.nodes();
   for (std::size_t i = 0; i < nodes.size(); ++i) {
@@ -53,7 +55,7 @@ void probe_run(const system::SimulationRun& run, Registry& reg) {
       reg.add(aborted, static_cast<double>(node.jobs_aborted()));
       reg.add(preemptions, static_cast<double>(node.preemptions()));
       reg.raise(max_ready, static_cast<double>(node.max_queue_length()));
-      reg.observe(depth_hist, static_cast<double>(node.queue_length()));
+      reg.observe(depth_hist, node.mean_queue_length(sim.now()));
       reg.observe(util_hist, node.utilization(sim.now()));
     } else {
       reg.add(reg.counter("link.submitted"),

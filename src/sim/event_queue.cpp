@@ -345,19 +345,22 @@ EventQueue::Action EventQueue::pop() {
     if (size() <= kSortLowWater) exit_ladder();
     // Software-pipelined dispatch (Chen, Ailamaki, Gibbons & Mowry, ICDE
     // 2004): while the popped event runs, fetch the memory of the next
-    // two. At large k each event's slot, and the node or source its
-    // action runs on, is a cold line; touched on first use they stall the
-    // loop one miss after another. Stage one fetches the action slot of
-    // the event two places ahead (both lines: slots are not line-aligned).
-    // Stage two fetches the first two lines of the object the next
-    // event's action captured first; its slot was stage one of the
-    // previous pop, so reading the hint is a cache hit. A prefetch never
+    // two. At large k each event's slot, and the state its action runs
+    // on, is cold; touched on first use it stalls the loop one miss after
+    // another. Stage one fetches the action slot of the event two places
+    // ahead (both lines: slots are not line-aligned). Stage two fetches
+    // the state of the next event: its slot was stage one of the previous
+    // pop, so reading the hint is a cache hit. It covers the lines from
+    // kTargetBack before the hint, where a source's arrival process sits,
+    // to kTargetSpan after it, which reaches from a source through its
+    // node and from a node into its first ready entries. A prefetch never
     // faults and never changes what runs, so an arbitrary hint is
-    // harmless. Only the ladder tier (more than kArrayMax pending) pays
-    // for this: the sorted tier's few slots and targets stay in cache,
-    // and there the prefetches cost fig2_eqf ~5 % with no miss to hide.
-    // (Kept inline: as a separate function, link-time optimization
-    // proved it free of effects and deleted the call.)
+    // harmless (a null or wrapping one issues nothing). Only the ladder
+    // tier (more than kArrayMax pending) pays for this: the sorted tier's
+    // few slots and targets stay in cache, and there the prefetches cost
+    // fig2_eqf ~5 % with no miss to hide. (Kept inline: as a separate
+    // function, link-time optimization proved it free of effects and
+    // deleted the call.)
     const std::size_t n = entries_.size();
     if (n >= 2) {
       const auto* ahead =
@@ -368,8 +371,10 @@ EventQueue::Action EventQueue::pop() {
     if (n >= 1) {
       const auto target = reinterpret_cast<std::uintptr_t>(
           slots_[entries_[n - 1].slot].target_hint());
-      __builtin_prefetch(reinterpret_cast<const void*>(target));
-      __builtin_prefetch(reinterpret_cast<const void*>(target + 64));
+      const std::uintptr_t end = target + kTargetSpan;
+      for (std::uintptr_t line = (target & ~(kCacheLine - 1)) - kTargetBack;
+           line < end; line += kCacheLine)
+        __builtin_prefetch(reinterpret_cast<const void*>(line));
     }
   }
   return action;

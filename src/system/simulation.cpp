@@ -20,6 +20,19 @@ std::uint64_t replication_seed(std::uint64_t base, std::uint64_t replication) {
 constexpr std::uint64_t kGlobalStream = 1;
 constexpr std::uint64_t kLocalStreamBase = 100;
 
+// A source event's prefetch window (sim::kTargetBack before the source to
+// sim::kTargetSpan after it) holds the heap blocks built on either side of
+// the source: its arrival process before it, its node after it. Each
+// block adds up to kHeapHeader bytes of allocator header and padding.
+constexpr std::size_t kHeapHeader = 16;
+static_assert(sizeof(workload::PoissonProcess) + kHeapHeader <=
+                  sim::kTargetBack,
+              "a Poisson arrival process outgrows the dispatch prefetch");
+static_assert(sizeof(workload::LocalTaskSource) + sizeof(sched::Node) +
+                      2 * kHeapHeader <=
+                  sim::kTargetSpan,
+              "a local source and its node outgrow the dispatch prefetch");
+
 }  // namespace
 
 SimulationRun::SimulationRun(const Config& config, std::uint64_t replication)
@@ -69,28 +82,33 @@ SimulationRun::SimulationRun(const Config& config, std::uint64_t replication)
   double weight_sum = 0;
   for (double w : cfg_.local_weights) weight_sum += w;
 
-  // Node i and its local source (with its arrival process) are built in
-  // one pass, in node order, so the state an event at node i touches sits
-  // together on the heap rather than k allocations apart. Constructing a
-  // source draws nothing; each keeps its own stream and starts in node
-  // order from run().
+  // Compute node i's state is built in one pass, in the order an event
+  // walks it: the arrival process, then the local source that owns it,
+  // then the node and its ready entries. Consecutive heap blocks, so a
+  // source event's prefetch window (see sim::kTargetSpan) also covers the
+  // arrival process and the node, and a node event's covers its first
+  // ready entries. Link nodes have no source. Constructing a source draws
+  // nothing; each keeps its own stream and starts in node order from
+  // run().
   nodes_.reserve(total_nodes);
   if (generated) local_sources_.reserve(cfg_.nodes);
   for (std::size_t i = 0; i < total_nodes; ++i) {
+    if (generated && i < cfg_.nodes) {
+      const double share =
+          cfg_.local_weights.empty()
+              ? 1.0 / static_cast<double>(cfg_.nodes)
+              : cfg_.local_weights[i] / weight_sum;
+      auto process =
+          workload::make_arrival_process(cfg_.arrivals, total_rate * share);
+      local_sources_.push_back(std::make_unique<workload::LocalTaskSource>(
+          sim_, static_cast<core::NodeId>(i), std::move(process),
+          cfg_.local_exec, cfg_.local_slack, cfg_.pex_error,
+          sim::Rng(seed, kLocalStreamBase + i), cfg_.horizon, local_sink));
+    }
     nodes_.push_back(std::make_unique<sched::Node>(
         static_cast<core::NodeId>(i), sim_, cfg_.policy, cfg_.abort_policy,
         cfg_.preemption));
     nodes_.back()->reserve_ready(kReadyReserve);
-    if (!generated || i >= cfg_.nodes) continue;
-    const double share =
-        cfg_.local_weights.empty()
-            ? 1.0 / static_cast<double>(cfg_.nodes)
-            : cfg_.local_weights[i] / weight_sum;
-    local_sources_.push_back(std::make_unique<workload::LocalTaskSource>(
-        sim_, static_cast<core::NodeId>(i),
-        workload::make_arrival_process(cfg_.arrivals, total_rate * share),
-        cfg_.local_exec, cfg_.local_slack, cfg_.pex_error,
-        sim::Rng(seed, kLocalStreamBase + i), cfg_.horizon, local_sink));
   }
 
   // Load accounting + model (extension; Config::load_model). The board is

@@ -160,6 +160,23 @@ TEST(ObsProbes, HistogramQuantilesStayInsideTheObservedRange) {
   }
 }
 
+TEST(ObsProbes, ReadyDepthIsEachNodesTimeAverage) {
+  // Fig. 2 at load 0.5: one sample per compute node, its time-average
+  // ready depth over the observation window.
+  system::Config cfg = probed_fig2();
+  cfg.load = 0.5;
+  system::SimulationRun run(cfg);
+  const obs::Snapshot snap = run.run().counters;
+  double sum = 0;
+  for (std::size_t i = 0; i < cfg.nodes; ++i)
+    sum += run.nodes()[i]->mean_queue_length(run.simulator().now());
+  EXPECT_EQ(snap.value_or("node.ready_depth.count"),
+            static_cast<double>(cfg.nodes));
+  EXPECT_NEAR(snap.value_or("node.ready_depth.mean"),
+              sum / static_cast<double>(cfg.nodes), 1e-12);
+  EXPECT_GT(snap.value_or("node.ready_depth.p50"), 0.0);
+}
+
 TEST(ObsProbes, ProbedRunMatchesUnprobedGolden) {
   // Config::probes must not perturb the trajectory: headline metrics of a
   // probed run equal the unprobed run bit for bit.

@@ -5,9 +5,13 @@
 // focused unit tests cannot.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <tuple>
 
+#include "dsrt/core/serial_strategies.hpp"
+#include "dsrt/sim/event_queue.hpp"
+#include "dsrt/system/baseline.hpp"
 #include "dsrt/system/cli.hpp"
 #include "dsrt/system/simulation.hpp"
 
@@ -132,5 +136,54 @@ INSTANTIATE_TEST_SUITE_P(
         Case{"serial", "EQF-S", "UD", "EDF", "NoAbort"},
         Case{"serial-parallel", "EQF", "DIV0.5", "EDF", "NoAbort"}),
     case_name);
+
+// Sanitizer allocators pad every heap block with redzones, so the heap
+// layout below holds only on the plain allocator.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kPaddedHeap = true;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+constexpr bool kPaddedHeap = true;
+#else
+constexpr bool kPaddedHeap = false;
+#endif
+#else
+constexpr bool kPaddedHeap = false;
+#endif
+
+TEST(SimulationLayout, EachComputeNodeSitsInsideItsSourcesPrefetch) {
+  if (kPaddedHeap) GTEST_SKIP() << "sanitizer heap redzones move blocks apart";
+  // The scale_pod_k4096 benchmark shape. For a source event the ladder
+  // tier prefetches whole lines from kTargetBack before the source's line
+  // to kTargetSpan after the source, which must hold the source's arrival
+  // process and its node. A warm heap hands out its recycled blocks of
+  // these sizes first, so a few nodes land elsewhere (up to ~40 of 4096,
+  // whatever k, in a test binary and in repeated runs); building a node
+  // before its source again puts every node outside.
+  system::Config cfg = system::baseline_ssp();
+  cfg.nodes = 4096;
+  cfg.placement = core::PlacementSpec::parse("pod:2");
+  cfg.load_model = core::LoadModelSpec::parse("exact");
+  cfg.ssp = core::make_eqf();
+  const system::SimulationRun run(cfg);
+  ASSERT_EQ(run.local_sources().size(), cfg.nodes);
+
+  const std::size_t allowed = cfg.nodes / 32;
+  std::size_t nodes_outside = 0, processes_outside = 0;
+  for (std::size_t i = 0; i < cfg.nodes; ++i) {
+    const workload::LocalTaskSource& source = *run.local_sources()[i];
+    const auto at = reinterpret_cast<std::uintptr_t>(&source);
+    const auto node = reinterpret_cast<std::uintptr_t>(run.nodes()[i].get());
+    const auto process = reinterpret_cast<std::uintptr_t>(&source.process());
+    if (node < at + sizeof source ||
+        node + sizeof(sched::Node) > at + sim::kTargetSpan)
+      ++nodes_outside;
+    if (process < (at & ~(sim::kCacheLine - 1)) - sim::kTargetBack ||
+        process >= at)
+      ++processes_outside;
+  }
+  EXPECT_LE(nodes_outside, allowed);
+  EXPECT_LE(processes_outside, allowed);
+}
 
 }  // namespace
