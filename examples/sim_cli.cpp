@@ -3,16 +3,18 @@
 //
 //   ./example_sim_cli --shape=parallel --psp=DIV1 --load=0.6 --reps=4
 //   ./example_sim_cli --sweep_load=0.1,0.3,0.5 --sweep_ssp=UD,EQF \
-//       --jobs=4 --emit=json --quick
+//       --jobs=4 --out=. --quick
 //   ./example_sim_cli --help
 //
 // Single-configuration runs print per-class miss ratios with confidence
 // intervals, response-time quantiles, and utilizations. Sweep runs
 // (--sweep_<field>=v1,v2,... — repeatable; cartesian by default, --zip for
-// lockstep) print one row per grid point. Replications and sweep points
-// execute concurrently on the engine thread pool (--jobs=N; results are
-// identical for every N). --emit=json,csv writes sim_cli.json/.csv result
-// files under --out; runs without it only print.
+// lockstep) print one row per grid point. The flags become an unregistered
+// xp manifest named sim_cli, run by xp::run_grid: replications and sweep
+// points execute concurrently on the engine thread pool (--jobs=N; results
+// are identical for every N). --out=DIR writes DIR/sim_cli.jsonl, one
+// exact xp artifact line per point, the same record sweep_cli writes;
+// runs without it only print.
 #include <cstdio>
 #include <iostream>
 
@@ -108,10 +110,9 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // --emit requests produce files, so fail a typo'd --out before
-  // simulating anything.
-  const bool writes_files = opts.emit_json || opts.emit_csv;
-  if (writes_files) {
+  // Fail a typo'd --out before simulating anything.
+  const bool writes_record = !opts.out_dir.empty();
+  if (writes_record) {
     try {
       engine::ensure_writable_dir(opts.out_dir);
     } catch (const std::exception& error) {
@@ -124,39 +125,24 @@ int main(int argc, char** argv) {
   std::printf("lambda_local(total)=%.4f lambda_global=%.4f  reps=%zu\n",
               cfg.lambda_local_total(), cfg.lambda_global(), opts.reps);
 
-  engine::RunnerOptions runner_options;
-  runner_options.jobs = opts.jobs;
-  const engine::Runner runner(runner_options);
-  engine::SweepResult sweep;
+  xp::Manifest manifest;
+  manifest.name = "sim_cli";
+  manifest.replications = opts.reps;
+  manifest.base = [cfg] { return cfg; };
+  manifest.grid = [grid] { return grid; };
+  manifest.metrics = xp::default_metrics();
+  xp::GridRun run;
   try {
-    sweep = runner.run_sweep(grid, cfg, opts.reps);
+    run = xp::run_grid(manifest, cfg, opts.reps, opts.jobs);
   } catch (const std::exception& error) {
     std::fprintf(stderr, "sweep failed: %s\n", error.what());
     return 1;
   }
+  const engine::SweepResult& sweep = run.sweep;
   std::printf("%zu point(s) x %zu rep(s) on %zu job(s): %.2fs "
               "(%.2f runs/s)\n\n",
               sweep.points.size(), sweep.replications, sweep.jobs,
               sweep.wall_seconds, sweep.runs_per_second());
-
-  // --fingerprint: hexfloat metrics of replication 0 per point. Exact by
-  // construction (%a round-trips doubles), unlike the rounded JSON/CSV
-  // emits — this is what the CI capture-vs-replay bitwise check diffs.
-  if (opts.fingerprint) {
-    for (const auto& point : sweep.points) {
-      const system::RunMetrics& rep0 = point.result.runs.front();
-      std::printf("fingerprint");
-      for (const std::string& label : point.point.labels)
-        std::printf(" %s", label.c_str());
-      std::printf(" md_local=%a md_global=%a resp_local=%a resp_global=%a"
-                  " util=%a events=%llu\n",
-                  rep0.local.missed.value(), rep0.global.missed.value(),
-                  rep0.local.response.mean(), rep0.global.response.mean(),
-                  rep0.mean_utilization,
-                  static_cast<unsigned long long>(rep0.events));
-    }
-    std::printf("\n");
-  }
 
   if (grid.axes().empty()) {
     print_single_point(cfg, sweep.points.front().result);
@@ -193,8 +179,8 @@ int main(int argc, char** argv) {
 
   // --capture: one extra replication-0 run of the first point with the
   // workload-trace writer attached. The written file replays bit for bit
-  // through --trace=FILE (same horizon), which the fingerprint line above
-  // verifies in CI.
+  // through --trace=FILE (same horizon): CI compares the metrics and runs
+  // of the capturing and the replaying run's --out records.
   if (!opts.capture.empty()) {
     try {
       system::Config captured = grid.axes().empty()
@@ -214,17 +200,16 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (writes_files) {
+  if (writes_record) {
+    const std::string path = opts.out_dir + "/sim_cli.jsonl";
     try {
-      std::printf("\n");
-      for (const std::string& path : engine::write_sweep_files(
-               "sim_cli", sweep, opts.emit_csv, opts.emit_json,
-               opts.out_dir))
-        std::printf("wrote %s\n", path.c_str());
+      xp::write_artifact_file(manifest.name, path, run.records);
     } catch (const std::exception& error) {
-      std::fprintf(stderr, "emit failed: %s\n", error.what());
+      std::fprintf(stderr, "%s\n", error.what());
       return 1;
     }
+    std::printf("\nwrote %s (%zu record(s))\n", path.c_str(),
+                run.records.size());
   }
   return 0;
 }

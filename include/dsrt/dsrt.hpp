@@ -20,9 +20,8 @@
 ///              trace export, deadline-miss attribution (registry below
 ///              system, the observers beside trace)
 ///   engine   - experiment orchestration: thread-pool replication/sweep
-///              runner, declarative parameter grids, seed derivation,
-///              DIV-x tuning, structured result emitters (table / CSV /
-///              JSON, pivot tables)
+///              runner, declarative parameter grids, DIV-x tuning, result
+///              and pivot tables
 ///   xp       - sweep harness: named manifest registry over the engine's
 ///              grids (every figure and ablation, with its table views),
 ///              sharded/resumable runner with JSONL artifacts,
@@ -40,7 +39,6 @@
 #include "dsrt/core/task_spec.hpp"
 #include "dsrt/engine/emit.hpp"
 #include "dsrt/engine/runner.hpp"
-#include "dsrt/engine/seed_sequence.hpp"
 #include "dsrt/engine/sweep.hpp"
 #include "dsrt/engine/thread_pool.hpp"
 #include "dsrt/engine/tuning.hpp"

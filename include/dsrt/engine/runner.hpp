@@ -9,19 +9,6 @@
 
 namespace dsrt::engine {
 
-/// Orchestration knobs shared by replication runs and sweeps.
-struct RunnerOptions {
-  /// Worker threads; 0 = one per hardware thread. Results are identical
-  /// for every value — parallelism only changes wall time.
-  std::size_t jobs = 0;
-  double confidence = 0.95;
-  /// When true, each sweep point gets an independent seed derived from the
-  /// base config's seed via SeedSequence (point 0 keeps the base seed).
-  /// Default false: every point shares the config seed — common random
-  /// numbers across points, the paper's variance-reduction discipline.
-  bool reseed_points = false;
-};
-
 /// One executed grid point: its coordinates plus the replication aggregate.
 struct PointResult {
   SweepPoint point;
@@ -29,7 +16,7 @@ struct PointResult {
 };
 
 /// A fully executed sweep, plus the run bookkeeping (workers, wall time)
-/// the table and JSON emitters report.
+/// the CLIs report.
 struct SweepResult {
   std::vector<std::string> axis_names;
   std::vector<PointResult> points;   ///< in grid (row-major) order
@@ -52,11 +39,9 @@ struct SweepResult {
 /// replication order. Output is byte-identical for every job count.
 class Runner {
  public:
-  explicit Runner(RunnerOptions options = {});
-
-  const RunnerOptions& options() const { return options_; }
-  /// Worker threads the pool will use (options.jobs resolved).
-  std::size_t jobs() const { return jobs_; }
+  /// `jobs` worker threads; 0 = one per hardware thread. Results are
+  /// identical for every value — parallelism only changes wall time.
+  explicit Runner(std::size_t jobs = 0);
 
   /// Runs `replications` independent replications of `config` (seeded from
   /// config.seed) and aggregates them with system::aggregate_runs. When
@@ -70,11 +55,13 @@ class Runner {
   /// Expands `grid` over `base` and runs every (point, replication) unit
   /// on one shared pool — points and replications interleave freely, so a
   /// wide grid with few replications parallelizes as well as the reverse.
+  /// Every point keeps the base seed: common random numbers across points,
+  /// the paper's variance-reduction discipline, which paired comparisons
+  /// between points rely on.
   SweepResult run_sweep(const SweepGrid& grid, const system::Config& base,
                         std::size_t replications) const;
 
  private:
-  RunnerOptions options_;
   std::size_t jobs_;
 };
 

@@ -59,8 +59,7 @@ class Snapshot {
   void merge(const Snapshot& other);
 
   /// `{"name":value,...}` in name order (counters/peaks as numbers, gauges
-  /// as their pooled mean). NaN/Inf render as null, mirroring the engine
-  /// emitters.
+  /// as their pooled mean). NaN/Inf render as null, which JSON can hold.
   std::string json() const;
 
  private:

@@ -35,16 +35,16 @@ namespace dsrt::system {
 /// std::invalid_argument with the offending name.
 Config config_from_flags(const util::Flags& flags);
 
-/// Run-control options shared by the CLI tools: how many
-/// replications, how many worker threads, and which structured outputs to
-/// produce. Config describes *what* to simulate; RunOptions describe *how*
-/// to orchestrate and report it (consumed by the engine layer).
+/// Run-control options shared by the CLI tools: how many replications,
+/// how many worker threads, and where the run record goes. Config
+/// describes *what* to simulate; RunOptions describe *how* to orchestrate
+/// and report it (consumed by the engine layer).
 struct RunOptions {
   std::size_t reps = 2;      ///< replications per data point (paper: 2)
   std::size_t jobs = 1;      ///< worker threads; 0 = hardware concurrency
-  bool emit_json = false;    ///< --emit=json: machine-readable result file
-  bool emit_csv = false;     ///< --emit=csv: long-format CSV result file
-  std::string out_dir = "."; ///< directory for emitted artifacts
+  /// --out=DIR: write DIR/sim_cli.jsonl, one xp artifact line per sweep
+  /// point (exact means and per-replication values); empty = print only.
+  std::string out_dir;
   /// --trace_out=FILE: re-run replication 0 of the first sweep point with a
   /// Perfetto exporter attached and write the trace_events JSON there
   /// (empty = no trace).
@@ -53,15 +53,11 @@ struct RunOptions {
   /// workload-trace writer attached and write the releases there in the
   /// trace_io format, ready for --trace replay (empty = no capture).
   std::string capture;
-  /// --fingerprint: print one `fingerprint <metric>=<hexfloat> ...` line per
-  /// sweep point (replication 0) for bitwise CI comparison — the JSON/CSV
-  /// emitters round, hexfloats don't.
-  bool fingerprint = false;
 };
 
 /// Parses run control:
-///   --reps=2 --jobs=1 --emit=json|csv|json,csv --out=DIR
-/// Unknown --emit values throw std::invalid_argument.
+///   --reps=2 --jobs=1 --out=DIR --trace_out=FILE --capture=FILE
+/// Throws std::invalid_argument on --reps < 1 or --jobs < 0.
 RunOptions run_options_from_flags(const util::Flags& flags);
 
 /// Returns the usage text above (for --help handling in tools).

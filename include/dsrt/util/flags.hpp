@@ -39,7 +39,7 @@ class Flags {
 
 /// Splits `text` at `sep`, preserving interior empty tokens ("a,,b" ->
 /// {"a", "", "b"}); an empty input yields an empty list. The shared
-/// splitter for comma-valued flags (--emit=json,csv, --sweep_load=...).
+/// splitter for comma-valued flags (--sweep_load=0.2,0.4, ...).
 std::vector<std::string> split(const std::string& text, char sep);
 
 /// Strict full-consume double parse: the whole token must be numeric (no

@@ -12,11 +12,38 @@
 
 namespace dsrt::xp {
 
+/// One replication's headline values, exact: miss ratios, mean responses
+/// and utilization as the run measured them, finished counts and events
+/// as whole numbers. A point's means and half-widths derive from these.
+struct RunRecord {
+  double md_local = 0;
+  double md_global = 0;
+  double resp_local = 0;
+  double resp_global = 0;
+  double util = 0;
+  double finished_local = 0;
+  double finished_global = 0;
+  double events = 0;
+};
+
+/// (JSON key, field) of every RunRecord value, in record order.
+inline constexpr std::pair<const char*, double RunRecord::*> kRunFields[] = {
+    {"md_local", &RunRecord::md_local},
+    {"md_global", &RunRecord::md_global},
+    {"resp_local", &RunRecord::resp_local},
+    {"resp_global", &RunRecord::resp_global},
+    {"util", &RunRecord::util},
+    {"finished_local", &RunRecord::finished_local},
+    {"finished_global", &RunRecord::finished_global},
+    {"events", &RunRecord::events}};
+
 /// One completed sweep point as stored in the result database: its stable
 /// grid index, coordinates, a hash of the fully-expanded config (so stale
 /// artifacts from an older grid definition are rejected, never silently
-/// merged), and the manifest's metrics. Exact metric values round-trip
-/// bitwise through the JSONL form (hexfloat strings).
+/// merged), the manifest's metrics, every replication's values and the
+/// pooled engine counters. Every value round-trips bitwise through the
+/// JSONL form (hexfloat strings). This line is the only machine-readable
+/// run output of sim_cli and sweep_cli.
 struct PointRecord {
   std::size_t index = 0;   ///< SweepPoint::ordinal — the harness-wide key
   std::size_t total = 0;   ///< points in the manifest's grid
@@ -27,6 +54,11 @@ struct PointRecord {
   double wall_seconds = 0;
   /// (name, value) in manifest metric order.
   std::vector<std::pair<std::string, double>> metrics;
+  /// One entry per replication, in replication order.
+  std::vector<RunRecord> runs;
+  /// (name, pooled value) of the engine counters in name order; empty
+  /// unless the run had probes.
+  std::vector<std::pair<std::string, double>> counters;
 
   /// Value by metric name; nullptr when absent.
   const double* metric(std::string_view name) const;
@@ -55,7 +87,9 @@ std::string shard_file_name(const std::string& manifest,
 std::string merged_file_name(const std::string& manifest);
 
 /// One JSONL line (no trailing newline) / its inverse. parse throws
-/// std::runtime_error on malformed or incomplete records.
+/// std::runtime_error on malformed or incomplete records, on a schema
+/// other than the current one, on a seed that is not a decimal uint64
+/// and on an index, total or reps count that is not an integer below 2^53.
 std::string artifact_line(const std::string& manifest,
                           const PointRecord& record);
 PointRecord parse_artifact_line(const std::string& manifest,
@@ -79,15 +113,17 @@ void append_artifact_records(const std::string& manifest,
 /// index-sorted, complete record set for the manifest's *current* grid:
 /// throws std::runtime_error when a shard is corrupt, a config hash does
 /// not match the current definition, an index is missing or out of range,
-/// or two shards disagree about the same index (identical duplicates — an
+/// or two shards disagree about the same index: an Exact metric, a
+/// replication's value or a counter (identical duplicates — an
 /// overlapping re-run — are fine).
 std::vector<PointRecord> merge_artifacts(const Manifest& manifest,
                                          const std::string& out_dir);
 
-/// Writes the merged set to `<out_dir>/<manifest>.merged.jsonl` (the CI
-/// upload artifact); returns the path.
-std::string write_merged_artifact(const Manifest& manifest,
-                                  const std::vector<PointRecord>& records,
-                                  const std::string& out_dir);
+/// Writes `records` to `path`, replacing it, one line per record: the
+/// merged set (`<out>/<manifest>.merged.jsonl`, the CI upload artifact)
+/// or sim_cli's `--out` file. Throws std::runtime_error when the file
+/// cannot be written.
+void write_artifact_file(const std::string& manifest, const std::string& path,
+                         const std::vector<PointRecord>& records);
 
 }  // namespace dsrt::xp

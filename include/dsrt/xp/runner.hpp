@@ -18,8 +18,9 @@ struct ShardSpec {
   std::size_t index = 0;
   std::size_t count = 1;
 
-  /// Strict "I/N" parse: both decimal integers, N >= 1, I < N. Throws
-  /// std::invalid_argument on anything else ("0/0", "2/2", "a/b", "1/").
+  /// Strict "I/N" parse: both decimal integers that fit a size_t, N >= 1,
+  /// I < N. Throws std::invalid_argument on anything else ("0/0", "2/2",
+  /// "a/b", "1/", a number past 2^64 - 1).
   static ShardSpec parse(std::string_view text);
 
   bool owns(std::size_t point_index) const {
@@ -74,8 +75,8 @@ PointRecord reproduce_point(const Manifest& manifest, std::size_t index,
                             std::size_t jobs = 1);
 
 /// A manifest's whole grid executed in one engine sweep, as `sweep_cli
-/// table` runs it: the sweep plus one record per point, in grid order,
-/// holding the manifest's metric values.
+/// table` and sim_cli run it: the sweep plus one complete record per
+/// point, in grid order.
 struct GridRun {
   engine::SweepResult sweep;
   std::vector<PointRecord> records;
@@ -85,7 +86,9 @@ struct GridRun {
 /// overrides applied — at `replications` per point. At base() and the
 /// manifest's replication count every Exact metric is bitwise what
 /// run_point records and `sweep_cli check` verifies. A pooled sweep does
-/// not time single points, so Relative metrics see run_seconds = 0.
+/// not time single points, so wall_seconds is 0 and Relative metrics see
+/// run_seconds = 0: the records' artifact lines are the same bytes for
+/// every job count.
 GridRun run_grid(const Manifest& manifest, const system::Config& base,
                  std::size_t replications, std::size_t jobs);
 

@@ -2,39 +2,11 @@
 
 #include <cstdio>
 #include <fstream>
-#include <ostream>
-#include <sstream>
 #include <stdexcept>
 
 namespace dsrt::engine {
 
 namespace {
-
-std::string num(double v) {
-  std::ostringstream os;
-  os << v;  // shortest round-trippable-enough form; JSON has no NaN/Inf
-  const std::string s = os.str();
-  return (s == "nan" || s == "inf" || s == "-inf") ? "null" : s;
-}
-
-std::string quoted(const std::string& s) {
-  std::string out = "\"";
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      default: out += c;
-    }
-  }
-  out += '"';
-  return out;
-}
-
-std::string estimate_json(const stats::Estimate& e) {
-  return "{\"mean\":" + num(e.mean) + ",\"half_width\":" + num(e.half_width) +
-         "}";
-}
 
 std::string ci(const stats::Estimate& e) {
   return stats::Table::percent(e.mean, 1) + " +- " +
@@ -65,40 +37,6 @@ stats::Table sweep_table(const SweepResult& sweep) {
     table.add_row(std::move(row));
   }
   return table;
-}
-
-void write_sweep_csv(const SweepResult& sweep, std::ostream& os) {
-  // Probed sweeps get one extra RFC-4180-quoted column holding the pooled
-  // counters as a JSON object (metric sets can differ across points, e.g.
-  // placement counters on jsq points only, so fixed columns don't fit).
-  bool any_counters = false;
-  for (const PointResult& pr : sweep.points)
-    any_counters = any_counters || !pr.result.counters.empty();
-  for (const std::string& name : sweep.axis_names) os << name << ',';
-  os << "md_local,md_local_hw,md_global,md_global_hw,md_overall,"
-        "md_overall_hw,resp_local,resp_local_hw,resp_global,resp_global_hw,"
-        "utilization,utilization_hw";
-  if (any_counters) os << ",counters";
-  os << '\n';
-  for (const PointResult& pr : sweep.points) {
-    for (const std::string& label : pr.point.labels) os << label << ',';
-    const auto& r = pr.result;
-    os << r.md_local.mean << ',' << r.md_local.half_width << ','
-       << r.md_global.mean << ',' << r.md_global.half_width << ','
-       << r.md_overall.mean << ',' << r.md_overall.half_width << ','
-       << r.response_local.mean << ',' << r.response_local.half_width << ','
-       << r.response_global.mean << ',' << r.response_global.half_width << ','
-       << r.utilization.mean << ',' << r.utilization.half_width;
-    if (any_counters) {
-      os << ',' << '"';
-      for (char c : r.counters.json()) {
-        os << c;
-        if (c == '"') os << c;  // RFC 4180: double embedded quotes
-      }
-      os << '"';
-    }
-    os << '\n';
-  }
 }
 
 stats::Table pivot_table(
@@ -175,43 +113,6 @@ stats::Table pivot_table(
   return table;
 }
 
-std::string sweep_json(const SweepResult& sweep) {
-  std::ostringstream os;
-  os << "{\"axes\":[";
-  for (std::size_t i = 0; i < sweep.axis_names.size(); ++i)
-    os << (i ? "," : "") << quoted(sweep.axis_names[i]);
-  os << "],\"replications\":" << sweep.replications
-     << ",\"jobs\":" << sweep.jobs
-     << ",\"wall_seconds\":" << num(sweep.wall_seconds) << ",\"points\":[";
-  for (std::size_t i = 0; i < sweep.points.size(); ++i) {
-    const PointResult& pr = sweep.points[i];
-    os << (i ? "," : "") << "{\"labels\":[";
-    for (std::size_t j = 0; j < pr.point.labels.size(); ++j)
-      os << (j ? "," : "") << quoted(pr.point.labels[j]);
-    os << "],\"seed\":" << pr.point.config.seed
-       << ",\"md_local\":" << estimate_json(pr.result.md_local)
-       << ",\"md_global\":" << estimate_json(pr.result.md_global)
-       << ",\"md_overall\":" << estimate_json(pr.result.md_overall)
-       << ",\"response_local\":" << estimate_json(pr.result.response_local)
-       << ",\"response_global\":" << estimate_json(pr.result.response_global)
-       << ",\"utilization\":" << estimate_json(pr.result.utilization);
-    if (!pr.result.counters.empty())
-      os << ",\"counters\":" << pr.result.counters.json();
-    os << ",\"runs\":[";
-    for (std::size_t r = 0; r < pr.result.runs.size(); ++r) {
-      const auto& m = pr.result.runs[r];
-      os << (r ? "," : "") << "{\"md_local\":" << num(m.local.missed.value())
-         << ",\"md_global\":" << num(m.global.missed.value())
-         << ",\"finished_local\":" << m.local.missed.trials()
-         << ",\"finished_global\":" << m.global.missed.trials()
-         << ",\"events\":" << m.events << "}";
-    }
-    os << "]}";
-  }
-  os << "]}";
-  return os.str();
-}
-
 void ensure_writable_dir(const std::string& out_dir) {
   const std::string probe = out_dir + "/.dsrt_write_probe";
   {
@@ -221,34 +122,6 @@ void ensure_writable_dir(const std::string& out_dir) {
                                "' is not writable");
   }
   std::remove(probe.c_str());
-}
-
-std::vector<std::string> write_sweep_files(const std::string& name,
-                                           const SweepResult& sweep,
-                                           bool csv, bool json,
-                                           const std::string& out_dir) {
-  std::vector<std::string> written;
-  if (csv) {
-    const std::string path = out_dir + "/" + name + ".csv";
-    std::ofstream file(path);
-    if (!file)
-      throw std::runtime_error("write_sweep_files: cannot open " + path);
-    write_sweep_csv(sweep, file);
-    if (!file.good())
-      throw std::runtime_error("write_sweep_files: write failed for " + path);
-    written.push_back(path);
-  }
-  if (json) {
-    const std::string path = out_dir + "/" + name + ".json";
-    std::ofstream file(path);
-    if (!file)
-      throw std::runtime_error("write_sweep_files: cannot open " + path);
-    file << sweep_json(sweep) << '\n';
-    if (!file.good())
-      throw std::runtime_error("write_sweep_files: write failed for " + path);
-    written.push_back(path);
-  }
-  return written;
 }
 
 }  // namespace dsrt::engine

@@ -5,15 +5,13 @@
 #include <stdexcept>
 #include <utility>
 
-#include "dsrt/engine/seed_sequence.hpp"
 #include "dsrt/engine/thread_pool.hpp"
 #include "dsrt/system/simulation.hpp"
 
 namespace dsrt::engine {
 
-Runner::Runner(RunnerOptions options)
-    : options_(options),
-      jobs_(options.jobs == 0 ? ThreadPool::default_jobs() : options.jobs) {}
+Runner::Runner(std::size_t jobs)
+    : jobs_(jobs == 0 ? ThreadPool::default_jobs() : jobs) {}
 
 system::ExperimentResult Runner::run_replications(
     const system::Config& config, std::size_t replications,
@@ -33,7 +31,7 @@ system::ExperimentResult Runner::run_replications(
                               std::chrono::steady_clock::now() - start)
                               .count();
   });
-  return system::aggregate_runs(std::move(runs), options_.confidence);
+  return system::aggregate_runs(std::move(runs));
 }
 
 SweepResult Runner::run_sweep(const SweepGrid& grid,
@@ -44,11 +42,6 @@ SweepResult Runner::run_sweep(const SweepGrid& grid,
   const auto start = std::chrono::steady_clock::now();
 
   std::vector<SweepPoint> points = grid.expand(base);
-  if (options_.reseed_points) {
-    const SeedSequence seeds(base.seed);
-    for (SweepPoint& point : points)
-      point.config.seed = seeds.seed_for(point.ordinal);
-  }
   for (const SweepPoint& point : points) point.config.validate();
 
   // Flatten to (point, replication) units so narrow-but-deep and
@@ -75,8 +68,7 @@ SweepResult Runner::run_sweep(const SweepGrid& grid,
   result.points.reserve(points.size());
   for (std::size_t p = 0; p < points.size(); ++p) {
     PointResult point_result;
-    point_result.result =
-        system::aggregate_runs(std::move(runs[p]), options_.confidence);
+    point_result.result = system::aggregate_runs(std::move(runs[p]));
     point_result.point = std::move(points[p]);
     result.points.push_back(std::move(point_result));
   }

@@ -128,19 +128,6 @@ RunOptions run_options_from_flags(const util::Flags& flags) {
   opts.out_dir = flags.get("out", opts.out_dir);
   opts.trace_out = flags.get("trace_out", opts.trace_out);
   opts.capture = flags.get("capture", opts.capture);
-  opts.fingerprint = flags.get("fingerprint", false);
-  // --emit takes a comma-separated subset of {json, csv}.
-  for (const std::string& kind :
-       util::split(flags.get("emit", std::string()), ',')) {
-    if (kind == "json") {
-      opts.emit_json = true;
-    } else if (kind == "csv") {
-      opts.emit_csv = true;
-    } else {
-      throw std::invalid_argument("run_options_from_flags: unknown --emit '" +
-                                  kind + "'");
-    }
-  }
   return opts;
 }
 
@@ -167,8 +154,7 @@ bool is_cli_flag(std::string_view name) {
       "service", "trace", "faults", "smin", "smax", "pex_err", "m_min",
       "m_max", "sp_stages", "sp_prob", "sp_width", "links", "hop",
       "periodic", "preempt", "probes", "horizon", "warmup", "seed", "quick",
-      "reps", "jobs", "emit", "out", "trace_out", "capture", "fingerprint",
-      "zip"};
+      "reps", "jobs", "out", "trace_out", "capture", "zip"};
   if (name.rfind("sweep_", 0) == 0) return true;
   for (const std::string_view known : kNames)
     if (name == known) return true;
@@ -235,14 +221,13 @@ std::string cli_usage() {
       "run control (engine orchestration):\n"
       "  --reps=2             replications per data point\n"
       "  --jobs=1             worker threads (0 = all hardware threads)\n"
-      "  --emit=json,csv      structured outputs next to the table\n"
-      "  --out=.              directory for emitted artifacts\n"
+      "  --out=DIR            write DIR/sim_cli.jsonl: one exact record per\n"
+      "                       point (hexfloat means, every replication's\n"
+      "                       values, counters), sweep_cli's artifact line\n"
       "  --trace_out=FILE     write a Perfetto/Chrome trace_events JSON of\n"
       "                       replication 0 (open in ui.perfetto.dev)\n"
       "  --capture=FILE       write a workload trace of replication 0 in the\n"
       "                       replayable trace_io format (--trace=FILE)\n"
-      "  --fingerprint        print hexfloat metric fingerprints per point\n"
-      "                       (bitwise CI comparison; JSON/CSV emit rounds)\n"
       "  --sweep_<field>=v1,v2,...   sweep axis over a config field\n"
       "                       (load, frac_local, rel_flex, nodes, m, ssp,\n"
       "                        psp, policy, abort, pex_err, shape,\n"

@@ -1,7 +1,9 @@
 #include "dsrt/xp/artifact.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -36,11 +38,57 @@ bool bits_equal(double a, double b) {
   return std::memcmp(&a, &b, sizeof(double)) == 0;
 }
 
+/// A JSON number that is a count. From 2^53 on, doubles skip integers
+/// (2^53 + 1 reads as 2^53), so those are rejected before the cast.
 std::size_t as_index(const JsonValue& v, const char* what) {
   const double d = v.as_number();
-  if (d < 0 || d != static_cast<double>(static_cast<std::size_t>(d)))
+  if (!(d >= 0 && d < 0x1p53) || d != std::floor(d))
     throw std::runtime_error(std::string("bad ") + what);
   return static_cast<std::size_t>(d);
+}
+
+/// Strict decimal uint64: digits only, no sign, no trailing text, no
+/// overflow.
+std::uint64_t parse_seed(const std::string& text) {
+  std::uint64_t seed = 0;
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, seed);
+  if (error != std::errc() || stop != end)
+    throw std::runtime_error("bad seed '" + text + "'");
+  return seed;
+}
+
+/// `{"name":"<hexfloat>",...}` in the given order.
+std::string hex_object(
+    const std::vector<std::pair<std::string, double>>& values) {
+  std::string out = "{";
+  for (std::size_t i = 0; i < values.size(); ++i)
+    out += (i ? "," : "") + quoted(values[i].first) + ":" +
+           quoted(hexfloat(values[i].second));
+  return out + "}";
+}
+
+std::vector<std::pair<std::string, double>> parse_hex_object(
+    const JsonValue& object) {
+  std::vector<std::pair<std::string, double>> values;
+  for (const auto& [name, value] : object.as_object())
+    values.emplace_back(name, parse_hexfloat(value.as_string()));
+  return values;
+}
+
+/// Bitwise equality of two records' replication values and counters.
+bool same_run_values(const PointRecord& a, const PointRecord& b) {
+  if (a.runs.size() != b.runs.size() ||
+      a.counters.size() != b.counters.size())
+    return false;
+  for (std::size_t r = 0; r < a.runs.size(); ++r)
+    for (const auto& [key, field] : kRunFields)
+      if (!bits_equal(a.runs[r].*field, b.runs[r].*field)) return false;
+  for (std::size_t i = 0; i < a.counters.size(); ++i)
+    if (a.counters[i].first != b.counters[i].first ||
+        !bits_equal(a.counters[i].second, b.counters[i].second))
+      return false;
+  return true;
 }
 
 }  // namespace
@@ -104,7 +152,7 @@ std::string merged_file_name(const std::string& manifest) {
 std::string artifact_line(const std::string& manifest,
                           const PointRecord& record) {
   std::ostringstream os;
-  os << "{\"manifest\":" << quoted(manifest) << ",\"schema\":1"
+  os << "{\"manifest\":" << quoted(manifest) << ",\"schema\":2"
      << ",\"index\":" << record.index << ",\"total\":" << record.total
      << ",\"labels\":[";
   for (std::size_t i = 0; i < record.labels.size(); ++i)
@@ -113,11 +161,18 @@ std::string artifact_line(const std::string& manifest,
      << ",\"seed\":" << quoted(std::to_string(record.seed))
      << ",\"reps\":" << record.replications
      << ",\"wall_seconds\":" << quoted(hexfloat(record.wall_seconds))
-     << ",\"metrics\":{";
-  for (std::size_t i = 0; i < record.metrics.size(); ++i)
-    os << (i ? "," : "") << quoted(record.metrics[i].first) << ":"
-       << quoted(hexfloat(record.metrics[i].second));
-  os << "}}";
+     << ",\"metrics\":" << hex_object(record.metrics) << ",\"runs\":[";
+  for (std::size_t r = 0; r < record.runs.size(); ++r) {
+    os << (r ? ",{" : "{");
+    for (std::size_t f = 0; f < std::size(kRunFields); ++f)
+      os << (f ? "," : "") << quoted(kRunFields[f].first) << ":"
+         << quoted(hexfloat(record.runs[r].*kRunFields[f].second));
+    os << "}";
+  }
+  os << "]";
+  if (!record.counters.empty())
+    os << ",\"counters\":" << hex_object(record.counters);
+  os << "}";
   return os.str();
 }
 
@@ -128,19 +183,29 @@ PointRecord parse_artifact_line(const std::string& manifest,
     throw std::runtime_error("record belongs to manifest '" +
                              doc.at("manifest").as_string() + "', expected '" +
                              manifest + "'");
-  if (doc.at("schema").as_number() != 1)
-    throw std::runtime_error("unsupported record schema");
+  if (doc.at("schema").as_number() != 2)
+    throw std::runtime_error("unsupported record schema (expected 2)");
   PointRecord record;
   record.index = as_index(doc.at("index"), "index");
   record.total = as_index(doc.at("total"), "total");
   for (const JsonValue& label : doc.at("labels").as_array())
     record.labels.push_back(label.as_string());
   record.config_hash = doc.at("config_hash").as_string();
-  record.seed = std::strtoull(doc.at("seed").as_string().c_str(), nullptr, 10);
+  record.seed = parse_seed(doc.at("seed").as_string());
   record.replications = as_index(doc.at("reps"), "reps");
   record.wall_seconds = parse_hexfloat(doc.at("wall_seconds").as_string());
-  for (const auto& [name, value] : doc.at("metrics").as_object())
-    record.metrics.emplace_back(name, parse_hexfloat(value.as_string()));
+  record.metrics = parse_hex_object(doc.at("metrics"));
+  for (const JsonValue& entry : doc.at("runs").as_array()) {
+    RunRecord& run = record.runs.emplace_back();
+    for (const auto& [key, field] : kRunFields)
+      run.*field = parse_hexfloat(entry.at(key).as_string());
+  }
+  if (record.runs.size() != record.replications)
+    throw std::runtime_error(std::to_string(record.runs.size()) +
+                             " runs for " +
+                             std::to_string(record.replications) + " reps");
+  if (const JsonValue* counters = doc.get("counters"))
+    record.counters = parse_hex_object(*counters);
   if (record.index >= record.total)
     throw std::runtime_error("index " + std::to_string(record.index) +
                              " out of range (total " +
@@ -244,7 +309,7 @@ std::vector<PointRecord> merge_artifacts(const Manifest& manifest,
                       (!exact || bits_equal(prior.metrics[i].second,
                                             record.metrics[i].second));
         }
-        if (!identical)
+        if (!identical || !same_run_values(prior, record))
           throw std::runtime_error(
               path + ": index " + std::to_string(record.index) +
               " conflicts with the record in " + source[record.index] +
@@ -273,18 +338,15 @@ std::vector<PointRecord> merge_artifacts(const Manifest& manifest,
   return merged;
 }
 
-std::string write_merged_artifact(const Manifest& manifest,
-                                  const std::vector<PointRecord>& records,
-                                  const std::string& out_dir) {
-  const std::string path = out_dir + "/" + merged_file_name(manifest.name);
+void write_artifact_file(const std::string& manifest, const std::string& path,
+                         const std::vector<PointRecord>& records) {
   std::ofstream file(path);
   if (!file)
     throw std::runtime_error("cannot open " + path);
   for (const PointRecord& record : records)
-    file << artifact_line(manifest.name, record) << '\n';
+    file << artifact_line(manifest, record) << '\n';
   if (!file.good())
     throw std::runtime_error("write failed for " + path);
-  return path;
 }
 
 }  // namespace dsrt::xp

@@ -1,5 +1,6 @@
 #include "dsrt/xp/runner.hpp"
 
+#include <charconv>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
@@ -13,15 +14,24 @@ namespace dsrt::xp {
 
 namespace {
 
+/// Strict decimal: digits only, no sign, no trailing text, no overflow.
 bool parse_size(std::string_view text, std::size_t& out) {
-  if (text.empty()) return false;
-  std::size_t value = 0;
-  for (char c : text) {
-    if (c < '0' || c > '9') return false;
-    value = value * 10 + static_cast<std::size_t>(c - '0');
-  }
-  out = value;
-  return true;
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, out);
+  return error == std::errc() && stop == end;
+}
+
+RunRecord run_record(const system::RunMetrics& run) {
+  RunRecord record;
+  record.md_local = run.local.missed.value();
+  record.md_global = run.global.missed.value();
+  record.resp_local = run.local.response.mean();
+  record.resp_global = run.global.response.mean();
+  record.util = run.mean_utilization;
+  record.finished_local = static_cast<double>(run.local.missed.trials());
+  record.finished_global = static_cast<double>(run.global.missed.trials());
+  record.events = static_cast<double>(run.events);
+  return record;
 }
 
 PointRecord make_record(const Manifest& manifest,
@@ -38,6 +48,10 @@ PointRecord make_record(const Manifest& manifest,
   const PointRun run{result, run_seconds};
   for (const MetricSpec& metric : manifest.metrics)
     record.metrics.emplace_back(metric.name, metric.select(run));
+  for (const system::RunMetrics& replication : result.runs)
+    record.runs.push_back(run_record(replication));
+  for (const obs::MetricValue& counter : result.counters.metrics())
+    record.counters.emplace_back(counter.name, counter.value);
   return record;
 }
 
@@ -64,9 +78,7 @@ ShardSpec ShardSpec::parse(std::string_view text) {
 
 PointRecord run_point(const Manifest& manifest,
                       const engine::SweepPoint& point, std::size_t jobs) {
-  engine::RunnerOptions options;
-  options.jobs = jobs;
-  const engine::Runner runner(options);
+  const engine::Runner runner(jobs);
 
   std::vector<double> run_seconds;
   const auto start = std::chrono::steady_clock::now();
@@ -168,13 +180,13 @@ PointRecord reproduce_point(const Manifest& manifest, std::size_t index,
 
 GridRun run_grid(const Manifest& manifest, const system::Config& base,
                  std::size_t replications, std::size_t jobs) {
-  engine::RunnerOptions options;
-  options.jobs = jobs;
   GridRun run;
-  run.sweep =
-      engine::Runner(options).run_sweep(manifest.grid(), base, replications);
-  for (const engine::PointResult& pr : run.sweep.points)
+  run.sweep = engine::Runner(jobs).run_sweep(manifest.grid(), base,
+                                             replications);
+  for (const engine::PointResult& pr : run.sweep.points) {
     run.records.push_back(make_record(manifest, pr.point, pr.result, 0, 0));
+    run.records.back().total = run.sweep.points.size();
+  }
   return run;
 }
 

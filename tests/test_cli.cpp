@@ -118,7 +118,7 @@ TEST(Cli, UsageMentionsEveryFlagGroup) {
                             "--abort", "--links", "--periodic", "--horizon",
                             "--load_model", "--placement", "--arrivals",
                             "--service", "--trace", "--capture",
-                            "--fingerprint"})
+                            "--out"})
     EXPECT_NE(usage.find(token), std::string::npos) << token;
 }
 
@@ -206,8 +206,25 @@ TEST(Cli, UnknownFlagsAreRejected) {
     EXPECT_EQ(std::string(e.what()), "unknown flag --lod");
   }
   // Run control and sweep axes are part of the vocabulary.
-  EXPECT_NO_THROW(parse({"--reps=3", "--jobs=2", "--emit=json", "--zip",
+  EXPECT_NO_THROW(parse({"--reps=3", "--jobs=2", "--out=.", "--zip",
                          "--sweep_load=0.2,0.4", "--quick"}));
+  // The rounded result files and the fingerprint lines are gone: --out's
+  // record is the one machine-readable output.
+  EXPECT_THROW(parse({"--emit=json"}), std::invalid_argument);
+  EXPECT_THROW(parse({"--fingerprint"}), std::invalid_argument);
+  EXPECT_EQ(system::cli_usage().find("--emit"), std::string::npos);
+  EXPECT_EQ(system::cli_usage().find("--fingerprint"), std::string::npos);
+}
+
+TEST(Cli, OutNamesTheRecordDirectoryAndDefaultsToNone) {
+  const auto options = [](std::initializer_list<const char*> args) {
+    std::vector<const char*> argv = {"prog"};
+    argv.insert(argv.end(), args.begin(), args.end());
+    const util::Flags flags(static_cast<int>(argv.size()), argv.data());
+    return system::run_options_from_flags(flags);
+  };
+  EXPECT_EQ(options({}).out_dir, "");
+  EXPECT_EQ(options({"--out=runs"}).out_dir, "runs");
 }
 
 TEST(Cli, EveryFlagTheUsageDocumentsIsAccepted) {

@@ -1,6 +1,6 @@
-// Engine layer: thread pool, seed derivation, sweep grids, the parallel
-// runner's bit-for-bit equivalence with serial replication, and the
-// structured emitters.
+// Engine layer: thread pool, sweep grids, the parallel runner's
+// bit-for-bit equivalence with serial replication, and the result and
+// pivot tables.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -10,7 +10,6 @@
 
 #include "dsrt/engine/emit.hpp"
 #include "dsrt/engine/runner.hpp"
-#include "dsrt/engine/seed_sequence.hpp"
 #include "dsrt/engine/sweep.hpp"
 #include "dsrt/engine/thread_pool.hpp"
 #include "dsrt/system/baseline.hpp"
@@ -58,24 +57,6 @@ TEST(ThreadPool, ParallelForPropagatesException) {
 TEST(ThreadPool, ZeroUnitsReturnsImmediately) {
   engine::ThreadPool pool(2);
   engine::parallel_for_index(pool, 0, [](std::size_t) { FAIL(); });
-}
-
-// --- SeedSequence ---------------------------------------------------------
-
-TEST(SeedSequence, IndexZeroKeepsBaseSeed) {
-  engine::SeedSequence seeds(20250612);
-  EXPECT_EQ(seeds.seed_for(0), 20250612u);
-}
-
-TEST(SeedSequence, DerivedSeedsAreDeterministicAndDistinct) {
-  engine::SeedSequence seeds(42);
-  std::vector<std::uint64_t> first;
-  for (std::uint64_t i = 0; i < 64; ++i) first.push_back(seeds.seed_for(i));
-  for (std::uint64_t i = 0; i < 64; ++i) {
-    EXPECT_EQ(first[i], engine::SeedSequence::mix(42, i));
-    for (std::uint64_t j = i + 1; j < 64; ++j)
-      EXPECT_NE(first[i], first[j]) << i << " vs " << j;
-  }
 }
 
 // --- SweepGrid ------------------------------------------------------------
@@ -191,14 +172,8 @@ void expect_identical_runs(const std::vector<system::RunMetrics>& a,
 TEST(Runner, ParallelReplicationsMatchSerialBitForBit) {
   const system::Config cfg = tiny_config();
   const std::size_t reps = 4;
-  engine::RunnerOptions one_job;
-  one_job.jobs = 1;
-  const auto serial = engine::Runner(one_job).run_replications(cfg, reps);
-
-  engine::RunnerOptions four_jobs;
-  four_jobs.jobs = 4;
-  const auto threaded4 =
-      engine::Runner(four_jobs).run_replications(cfg, reps);
+  const auto serial = engine::Runner(1).run_replications(cfg, reps);
+  const auto threaded4 = engine::Runner(4).run_replications(cfg, reps);
   expect_identical_runs(serial.runs, threaded4.runs);
   EXPECT_EQ(serial.md_global.mean, threaded4.md_global.mean);
   EXPECT_EQ(serial.md_global.half_width, threaded4.md_global.half_width);
@@ -211,12 +186,9 @@ TEST(Runner, RunSecondsTimeEachReplicationOnItsOwn) {
   // sum to at most its wall time; on three they overlap, which changes
   // neither the results nor the slot count.
   const system::Config cfg = tiny_config();
-  engine::RunnerOptions one_job;
-  one_job.jobs = 1;
   std::vector<double> seconds;
   const auto start = std::chrono::steady_clock::now();
-  const auto serial =
-      engine::Runner(one_job).run_replications(cfg, 3, &seconds);
+  const auto serial = engine::Runner(1).run_replications(cfg, 3, &seconds);
   const double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
@@ -228,11 +200,9 @@ TEST(Runner, RunSecondsTimeEachReplicationOnItsOwn) {
   }
   EXPECT_LE(sum, wall);
 
-  engine::RunnerOptions three_jobs;
-  three_jobs.jobs = 3;
   std::vector<double> threaded_seconds = {1.0};
-  const auto threaded = engine::Runner(three_jobs).run_replications(
-      cfg, 3, &threaded_seconds);
+  const auto threaded =
+      engine::Runner(3).run_replications(cfg, 3, &threaded_seconds);
   expect_identical_runs(serial.runs, threaded.runs);
   ASSERT_EQ(threaded_seconds.size(), 3u);
   for (const double s : threaded_seconds) EXPECT_GT(s, 0.0);
@@ -243,37 +213,16 @@ TEST(Runner, SweepMatchesPerPointSerialRuns) {
   grid.axis(engine::SweepAxis::by_field("load", {"0.2", "0.4"}))
       .axis(engine::SweepAxis::by_field("ssp", {"UD", "EQF"}));
 
-  engine::RunnerOptions options;
-  options.jobs = 4;
-  const auto sweep =
-      engine::Runner(options).run_sweep(grid, tiny_config(), 2);
+  const auto sweep = engine::Runner(4).run_sweep(grid, tiny_config(), 2);
   ASSERT_EQ(sweep.points.size(), 4u);
   EXPECT_EQ(sweep.total_runs, 8u);
   EXPECT_EQ(sweep.axis_names, (std::vector<std::string>{"load", "ssp"}));
 
-  engine::RunnerOptions one_job;
-  one_job.jobs = 1;
   for (const auto& pr : sweep.points) {
     const auto serial =
-        engine::Runner(one_job).run_replications(pr.point.config, 2);
+        engine::Runner(1).run_replications(pr.point.config, 2);
     expect_identical_runs(serial.runs, pr.result.runs);
   }
-}
-
-TEST(Runner, ReseedPointsDerivesIndependentSeedsPointZeroKeepsBase) {
-  engine::SweepGrid grid;
-  grid.axis(engine::SweepAxis::by_field("load", {"0.2", "0.3", "0.4"}));
-  const system::Config base = tiny_config();
-
-  engine::RunnerOptions options;
-  options.jobs = 2;
-  options.reseed_points = true;
-  const auto sweep = engine::Runner(options).run_sweep(grid, base, 1);
-  ASSERT_EQ(sweep.points.size(), 3u);
-  EXPECT_EQ(sweep.points[0].point.config.seed, base.seed);
-  EXPECT_NE(sweep.points[1].point.config.seed, base.seed);
-  EXPECT_NE(sweep.points[1].point.config.seed,
-            sweep.points[2].point.config.seed);
 }
 
 TEST(Runner, ZeroReplicationsThrows) {
@@ -310,20 +259,18 @@ TEST(RunMetricsMerge, PoolsCountsAndSpanWeightsUtilization) {
   EXPECT_DOUBLE_EQ(a.mean_utilization, (0.4 * 1000 + 0.8 * 3000) / 4000);
 }
 
-// --- Emitters -------------------------------------------------------------
+// --- Tables ---------------------------------------------------------------
 
 engine::SweepResult small_sweep() {
   engine::SweepGrid grid;
   grid.axis(engine::SweepAxis::by_field("load", {"0.2", "0.4"}))
       .axis(engine::SweepAxis::by_field("ssp", {"UD", "EQF"}));
-  engine::RunnerOptions options;
-  options.jobs = 2;
   system::Config cfg = tiny_config();
   cfg.horizon = 500;
-  return engine::Runner(options).run_sweep(grid, cfg, 2);
+  return engine::Runner(2).run_sweep(grid, cfg, 2);
 }
 
-TEST(Emit, TablesCsvAndJsonAgreeOnShape) {
+TEST(Emit, TableAndPivotAgreeOnShape) {
   const auto sweep = small_sweep();
 
   const auto table = engine::sweep_table(sweep);
@@ -334,19 +281,6 @@ TEST(Emit, TablesCsvAndJsonAgreeOnShape) {
         return stats::Table::percent(p.result.md_global.mean, 1);
       });
   EXPECT_EQ(pivot.rows(), 2u);  // one row per load
-
-  std::ostringstream csv;
-  engine::write_sweep_csv(sweep, csv);
-  EXPECT_NE(csv.str().find("load,ssp,md_local"), std::string::npos);
-  // Header + one line per point.
-  std::size_t lines = 0;
-  for (char c : csv.str())
-    if (c == '\n') ++lines;
-  EXPECT_EQ(lines, 5u);
-
-  const std::string json = engine::sweep_json(sweep);
-  EXPECT_NE(json.find("\"axes\":[\"load\",\"ssp\"]"), std::string::npos);
-  EXPECT_NE(json.find("\"replications\":2"), std::string::npos);
 }
 
 TEST(Emit, PivotTableRejectsZippedSweep) {

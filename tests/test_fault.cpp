@@ -424,12 +424,8 @@ TEST(FaultGolden, MergedMetricsIndependentOfJobs) {
   system::Config cfg = faulty_golden_config();
   cfg.horizon = 10000;
   cfg.probes = true;
-  engine::RunnerOptions serial_opts, parallel_opts;
-  serial_opts.jobs = 1;
-  parallel_opts.jobs = 4;
-  const auto serial = engine::Runner(serial_opts).run_replications(cfg, 4);
-  const auto parallel =
-      engine::Runner(parallel_opts).run_replications(cfg, 4);
+  const auto serial = engine::Runner(1).run_replications(cfg, 4);
+  const auto parallel = engine::Runner(4).run_replications(cfg, 4);
   ASSERT_EQ(serial.runs.size(), parallel.runs.size());
   for (std::size_t i = 0; i < serial.runs.size(); ++i) {
     EXPECT_EQ(serial.runs[i].events, parallel.runs[i].events);

@@ -574,12 +574,8 @@ TEST(LoadAwareDeterminism, JobsOneEqualsJobsEightForEveryNewCombination) {
   }
   for (std::size_t i = 0; i < combos.size(); ++i) {
     SCOPED_TRACE(combos[i].describe());
-    engine::RunnerOptions one, eight;
-    one.jobs = 1;
-    eight.jobs = 8;
-    const auto serial = engine::Runner(one).run_replications(combos[i], 4);
-    const auto parallel =
-        engine::Runner(eight).run_replications(combos[i], 4);
+    const auto serial = engine::Runner(1).run_replications(combos[i], 4);
+    const auto parallel = engine::Runner(8).run_replications(combos[i], 4);
     expect_bit_identical(serial.runs, parallel.runs);
   }
 }

@@ -196,13 +196,8 @@ TEST(ObsProbes, MergedCountersIndependentOfJobs) {
   // so the pooled snapshot is identical for any worker count.
   system::Config cfg = probed_fig2();
   cfg.horizon = 10000;
-  engine::RunnerOptions serial_opts, parallel_opts;
-  serial_opts.jobs = 1;
-  parallel_opts.jobs = 4;
-  const auto serial =
-      engine::Runner(serial_opts).run_replications(cfg, 4);
-  const auto parallel =
-      engine::Runner(parallel_opts).run_replications(cfg, 4);
+  const auto serial = engine::Runner(1).run_replications(cfg, 4);
+  const auto parallel = engine::Runner(4).run_replications(cfg, 4);
   ASSERT_FALSE(serial.counters.empty());
   EXPECT_EQ(serial.counters.json(), parallel.counters.json());
 }

@@ -914,11 +914,8 @@ TEST(PlacementSystem, JobsOneEqualsJobsEightForEveryPlacementCombo) {
   }
   for (const auto& cfg : combos) {
     SCOPED_TRACE(cfg.describe());
-    engine::RunnerOptions one, eight;
-    one.jobs = 1;
-    eight.jobs = 8;
-    const auto serial = engine::Runner(one).run_replications(cfg, 4);
-    const auto parallel = engine::Runner(eight).run_replications(cfg, 4);
+    const auto serial = engine::Runner(1).run_replications(cfg, 4);
+    const auto parallel = engine::Runner(8).run_replications(cfg, 4);
     ASSERT_EQ(serial.runs.size(), parallel.runs.size());
     for (std::size_t r = 0; r < serial.runs.size(); ++r) {
       SCOPED_TRACE(r);

@@ -1,15 +1,18 @@
 // xp layer: the sweep harness. Shard-spec parsing, manifest registry
-// errors (incl. table-view validation), hexfloat round-trips, shard JSONL
-// corruption handling, shard-union / resume / reproduce / table bitwise
-// equivalence, and the tolerance-band checker naming the exact (manifest,
-// index, metric) of every out-of-band point.
+// errors (incl. table-view validation), hexfloat round-trips, the record
+// line's bitwise round-trip and strict parsing, shard JSONL corruption
+// handling, shard-union / resume / reproduce / table bitwise equivalence,
+// and the tolerance-band checker naming the exact (manifest, index,
+// metric) of every out-of-band point.
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <random>
 #include <string>
 #include <vector>
@@ -81,6 +84,26 @@ void expect_exact_metrics_equal(const xp::Manifest& manifest,
   }
 }
 
+/// Every replication's values, bitwise, keyed by field name.
+void expect_runs_equal(const xp::PointRecord& a, const xp::PointRecord& b) {
+  ASSERT_EQ(a.runs.size(), b.runs.size()) << "index " << a.index;
+  for (std::size_t r = 0; r < a.runs.size(); ++r)
+    for (const auto& [key, field] : xp::kRunFields)
+      EXPECT_TRUE(bits_equal(a.runs[r].*field, b.runs[r].*field))
+          << "index " << a.index << " run " << r << " " << key << ": "
+          << xp::hexfloat(a.runs[r].*field) << " vs "
+          << xp::hexfloat(b.runs[r].*field);
+}
+
+/// `line` with its one occurrence of `from` replaced by `to`.
+std::string edited(std::string line, const std::string& from,
+                   const std::string& to) {
+  const std::size_t at = line.find(from);
+  EXPECT_NE(at, std::string::npos) << from << " not in " << line;
+  if (at != std::string::npos) line.replace(at, from.size(), to);
+  return line;
+}
+
 // --- ShardSpec ------------------------------------------------------------
 
 TEST(ShardSpec, ParsesStrictIOverN) {
@@ -94,6 +117,16 @@ TEST(ShardSpec, RejectsDegenerateAndMalformedSpecs) {
   for (const char* bad : {"0/0", "2/2", "3/2", "a/b", "1/", "/2", "1-2",
                           "", "1/2/3", "-1/2", "0x1/2", " 1/2", "1/2 "})
     EXPECT_THROW(xp::ShardSpec::parse(bad), std::invalid_argument) << bad;
+}
+
+TEST(ShardSpec, RejectsNumbersPastTheSizeRange) {
+  // 2^64 and 2^64 + 1 must not wrap to 0 and 1 and run as shard 0/1.
+  for (const char* bad : {"18446744073709551616/18446744073709551617",
+                          "0/18446744073709551616",
+                          "0/99999999999999999999999"})
+    EXPECT_THROW(xp::ShardSpec::parse(bad), std::invalid_argument) << bad;
+  EXPECT_EQ(xp::ShardSpec::parse("0/18446744073709551615").count,
+            std::numeric_limits<std::size_t>::max());
 }
 
 TEST(ShardSpec, ShardsPartitionTheIndexSpace) {
@@ -251,6 +284,86 @@ TEST(Manifest, Fig3AndFig4ExpansionsMatchTheBenchGrids) {
   }
 }
 
+// --- the record line -------------------------------------------------------
+
+/// A record whose values `%g` would round, with -0.0 among them.
+xp::PointRecord hand_record() {
+  xp::PointRecord record;
+  record.index = 1;
+  record.total = 3;
+  record.labels = {"0.3", "EQF"};
+  record.config_hash = "00000000deadbeef";
+  record.seed = 7;
+  record.replications = 2;
+  record.wall_seconds = 0.1;
+  record.metrics = {{"md_global", 1.0 / 3}, {"md_local", 0.1 + 0.2}};
+  record.runs = {{1.0 / 3, 0.1, 2.0 / 3, 1e-300, 0.7, 1234, 56, 987654321},
+                 {-0.0, 0.2, 0.30000000000000004, 5e-324, 1.0 / 7, 0, 1,
+                  9007199254740991.0}};
+  record.counters = {{"node.completed", 123456789.0},
+                     {"sim.pending_max", 1.0 / 9}};
+  return record;
+}
+
+TEST(Artifact, RecordWithRunsAndCountersRoundTripsBitwise) {
+  // hexfloat is one string per bit pattern (-0.0 is "-0x0p+0") and the
+  // metrics and counters here are in name order, so every value survives
+  // the round trip iff the whole line does.
+  const xp::PointRecord record = hand_record();
+  const std::string line = xp::artifact_line("tiny", record);
+  const xp::PointRecord parsed = xp::parse_artifact_line("tiny", line);
+  EXPECT_EQ(xp::artifact_line("tiny", parsed), line);
+  expect_runs_equal(record, parsed);
+  EXPECT_TRUE(std::signbit(parsed.runs[1].md_local));
+  EXPECT_EQ(parsed.counters, record.counters);
+
+  // Without probes the counters key is absent.
+  xp::PointRecord bare = record;
+  bare.counters.clear();
+  EXPECT_EQ(xp::artifact_line("tiny", bare).find("counters"),
+            std::string::npos);
+
+  // Schema-1 lines (no runs), a run count that is not the reps count and
+  // a run missing a field are clean errors.
+  for (const auto& [from, to] : std::vector<std::pair<std::string, std::string>>{
+           {"\"schema\":2", "\"schema\":1"},
+           {"\"reps\":2", "\"reps\":3"},
+           {"{\"md_local\"", "{\"md_lokal\""}})
+    EXPECT_THROW(xp::parse_artifact_line("tiny", edited(line, from, to)),
+                 std::runtime_error)
+        << to;
+}
+
+TEST(Artifact, ParseRejectsNonDecimalSeedsAndInexactCounts) {
+  xp::PointRecord record;
+  record.index = 1;
+  record.total = 3;
+  record.seed = 7;
+  const std::string line = xp::artifact_line("tiny", record);
+  const auto parse = [&](const std::string& from, const std::string& to) {
+    return xp::parse_artifact_line("tiny", edited(line, from, to));
+  };
+  EXPECT_EQ(parse("\"seed\":\"7\"", "\"seed\":\"18446744073709551615\"").seed,
+            std::numeric_limits<std::uint64_t>::max());
+
+  // A seed edited to "12abc" must not read as 12 (and be rewritten so by
+  // a merge); no sign, space, hex or overflow either.
+  for (const std::string bad : {"12abc", "", "-1", "+7", " 7", "0x7",
+                                "18446744073709551616"})
+    EXPECT_THROW(parse("\"seed\":\"7\"", "\"seed\":\"" + bad + "\""),
+                 std::runtime_error)
+        << bad;
+
+  // Counts from 2^53 on are not all representable (2^53 + 1 reads as
+  // 2^53), and fractions are not counts.
+  EXPECT_THROW(parse("\"reps\":0", "\"reps\":9007199254740993"),
+               std::runtime_error);
+  EXPECT_THROW(parse("\"reps\":0", "\"reps\":9007199254740992"),
+               std::runtime_error);
+  EXPECT_THROW(parse("\"total\":3", "\"total\":1e300"), std::runtime_error);
+  EXPECT_THROW(parse("\"index\":1", "\"index\":1.5"), std::runtime_error);
+}
+
 // --- artifact corruption --------------------------------------------------
 
 TEST(Artifact, TruncatedLineIsACleanErrorNamingFileAndLine) {
@@ -322,18 +435,28 @@ TEST(Artifact, MergeRejectsStaleHashesConflictsAndGaps) {
   xp::append_artifact_records("tiny", overlap, {merged[0]});
   EXPECT_EQ(xp::merge_artifacts(manifest, dir).size(), points.size());
 
+  // A differing exact metric, replication value or counter conflicts.
+  const auto expect_conflict = [&](const xp::PointRecord& tampered) {
+    std::filesystem::remove(overlap);
+    xp::append_artifact_records("tiny", overlap, {tampered});
+    try {
+      xp::merge_artifacts(manifest, dir);
+      ADD_FAILURE() << "expected runtime_error";
+    } catch (const std::runtime_error& error) {
+      EXPECT_NE(std::string(error.what()).find("overlapping shards disagree"),
+                std::string::npos)
+          << error.what();
+    }
+  };
   xp::PointRecord tampered = merged[0];
   tampered.metrics[0].second += 0.25;
-  std::filesystem::remove(overlap);
-  xp::append_artifact_records("tiny", overlap, {tampered});
-  try {
-    xp::merge_artifacts(manifest, dir);
-    FAIL() << "expected runtime_error";
-  } catch (const std::runtime_error& error) {
-    EXPECT_NE(std::string(error.what()).find("overlapping shards disagree"),
-              std::string::npos)
-        << error.what();
-  }
+  expect_conflict(tampered);
+  tampered = merged[0];
+  tampered.runs[1].events += 1;
+  expect_conflict(tampered);
+  tampered = merged[0];
+  tampered.counters.emplace_back("node.completed", 1.0);
+  expect_conflict(tampered);
   std::filesystem::remove(overlap);
 
   // A missing point is an incompleteness error listing the gap.
@@ -478,6 +601,7 @@ TEST(Runner, ReproduceReplaysRecordedPointsBitwiseAcrossManifests) {
       EXPECT_EQ(replay.index, index);
       EXPECT_EQ(replay.config_hash, merged[index].config_hash);
       expect_exact_metrics_equal(manifest, merged[index], replay);
+      expect_runs_equal(merged[index], replay);
     }
   }
 
@@ -502,6 +626,7 @@ TEST(Table, GridRunMatchesRunPointAndRendersEveryView) {
     EXPECT_EQ(run.records[i].index, i);
     EXPECT_EQ(run.records[i].labels, single.labels);
     expect_exact_metrics_equal(manifest, run.records[i], single);
+    expect_runs_equal(run.records[i], single);
   }
 
   const std::string text = xp::render_views(manifest, run);
@@ -514,6 +639,55 @@ TEST(Table, GridRunMatchesRunPointAndRendersEveryView) {
   EXPECT_NE(text.find(stats::Table::cell(*run.records[1].metric("events"),
                                          1)),
             std::string::npos);
+}
+
+TEST(Table, GridRecordsHoldEveryReplicationAndNotTheJobCount) {
+  // sim_cli's --out file is these records' lines: each replication's
+  // values and the pooled counters, the same bytes on 1 and 4 jobs.
+  xp::Manifest manifest = tiny_manifest();
+  manifest.base = [] {
+    system::Config cfg = system::baseline_ssp();
+    cfg.horizon = 1500;
+    cfg.probes = true;
+    return cfg;
+  };
+  const xp::GridRun one =
+      xp::run_grid(manifest, manifest.base(), manifest.replications, 1);
+  const xp::GridRun four =
+      xp::run_grid(manifest, manifest.base(), manifest.replications, 4);
+  ASSERT_EQ(one.records.size(), manifest.points());
+  ASSERT_EQ(four.records.size(), manifest.points());
+  for (std::size_t i = 0; i < one.records.size(); ++i) {
+    const xp::PointRecord& record = one.records[i];
+    const system::ExperimentResult& result = one.sweep.points[i].result;
+    EXPECT_EQ(record.total, manifest.points());
+    EXPECT_EQ(record.wall_seconds, 0.0);
+    ASSERT_EQ(record.runs.size(), manifest.replications);
+    for (std::size_t r = 0; r < record.runs.size(); ++r) {
+      const system::RunMetrics& m = result.runs[r];
+      const xp::RunRecord& run = record.runs[r];
+      EXPECT_TRUE(bits_equal(run.md_local, m.local.missed.value()));
+      EXPECT_TRUE(bits_equal(run.md_global, m.global.missed.value()));
+      EXPECT_TRUE(bits_equal(run.resp_local, m.local.response.mean()));
+      EXPECT_TRUE(bits_equal(run.resp_global, m.global.response.mean()));
+      EXPECT_TRUE(bits_equal(run.util, m.mean_utilization));
+      EXPECT_EQ(run.finished_local,
+                static_cast<double>(m.local.missed.trials()));
+      EXPECT_EQ(run.finished_global,
+                static_cast<double>(m.global.missed.trials()));
+      EXPECT_EQ(run.events, static_cast<double>(m.events));
+    }
+    ASSERT_FALSE(record.counters.empty());
+    ASSERT_EQ(record.counters.size(), result.counters.size());
+    for (std::size_t c = 0; c < record.counters.size(); ++c) {
+      EXPECT_EQ(record.counters[c].first, result.counters.metrics()[c].name);
+      EXPECT_TRUE(bits_equal(record.counters[c].second,
+                             result.counters.metrics()[c].value));
+    }
+    const std::string line = xp::artifact_line("tiny", record);
+    EXPECT_EQ(line, xp::artifact_line("tiny", four.records[i]));
+    expect_runs_equal(record, xp::parse_artifact_line("tiny", line));
+  }
 }
 
 // --- checker --------------------------------------------------------------

@@ -21,7 +21,8 @@
 // within tolerance — exiting nonzero with a report naming each offending
 // (manifest, index, metric). reproduce re-runs one grid point from the
 // manifest definition and, when shard artifacts are present under --out,
-// asserts the exact metrics match the recorded values bitwise. table runs
+// asserts the exact metrics and every replication's values match the
+// recorded ones bitwise. table runs
 // the whole grid in one engine sweep and prints the manifest's views; with
 // no overrides its cells are the values check verifies, and --horizon=1e6
 // gives the paper-scale tables.
@@ -128,7 +129,8 @@ int cmd_check(const util::Flags& flags,
     const std::vector<xp::PointRecord> merged =
         xp::merge_artifacts(manifest, out_dir);
     const std::string merged_path =
-        xp::write_merged_artifact(manifest, merged, out_dir);
+        out_dir + "/" + xp::merged_file_name(manifest.name);
+    xp::write_artifact_file(manifest.name, merged_path, merged);
     if (bless) {
       const std::string path = xp::write_expectations(
           xp::make_expectations(manifest, merged), expectations_dir);
@@ -212,8 +214,24 @@ int cmd_reproduce(const util::Flags& flags,
       ok = false;
     }
   }
-  std::printf(ok ? "reproduce OK: exact metrics bitwise-equal to the "
-                   "recorded run\n"
+  if (recorded.runs.size() != record.runs.size()) {
+    std::printf("MISMATCH runs: recorded %zu, reproduced %zu\n",
+                recorded.runs.size(), record.runs.size());
+    ok = false;
+  }
+  for (std::size_t r = 0; r < recorded.runs.size() && r < record.runs.size();
+       ++r) {
+    for (const auto& [key, field] : xp::kRunFields) {
+      const std::string want = xp::hexfloat(recorded.runs[r].*field);
+      const std::string got = xp::hexfloat(record.runs[r].*field);
+      if (want == got) continue;
+      std::printf("MISMATCH run %zu %s: recorded %s, reproduced %s\n", r,
+                  key, want.c_str(), got.c_str());
+      ok = false;
+    }
+  }
+  std::printf(ok ? "reproduce OK: exact metrics and every replication "
+                   "bitwise-equal to the recorded run\n"
                  : "reproduce FAILED\n");
   return ok ? 0 : 1;
 }
