@@ -25,24 +25,6 @@ using namespace dsrt;
 
 namespace {
 
-/// Collects --sweep_<field>=v1,v2,... axes. std::map iteration makes the
-/// axis order (and thus the grid's row-major point order) the
-/// alphabetical order of the field names — deterministic across runs.
-engine::SweepGrid grid_from_flags(const util::Flags& flags) {
-  engine::SweepGrid grid;
-  for (const auto& [name, value] : flags.all()) {
-    if (name.rfind("sweep_", 0) != 0) continue;
-    // Values split on ','; a ';' anywhere switches the separator so
-    // comma-parameterized specs sweep too:
-    //   --sweep_arrivals='poisson;mmpp:4,0.25;onoff:20,80'
-    const char sep = value.find(';') != std::string::npos ? ';' : ',';
-    grid.axis(
-        engine::SweepAxis::by_field(name.substr(6), util::split(value, sep)));
-  }
-  if (flags.get("zip", false)) grid.mode(engine::SweepGrid::Mode::Zipped);
-  return grid;
-}
-
 void print_single_point(const system::Config& cfg,
                         const system::ExperimentResult& result) {
   stats::Table table({"metric", "local", "global"});
@@ -102,8 +84,8 @@ int main(int argc, char** argv) {
   try {
     cfg = system::config_from_flags(flags);
     opts = system::run_options_from_flags(flags);
-    grid = grid_from_flags(flags);
-    if (flags.get("quick", false)) cfg.horizon = 1e5;
+    grid = engine::grid_from_flags(flags);
+    for (const auto& point : grid.expand(cfg)) point.config.validate();
   } catch (const std::exception& error) {
     std::fprintf(stderr, "bad configuration: %s\n%s", error.what(),
                  system::cli_usage().c_str());

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "dsrt/system/config.hpp"
+#include "dsrt/util/flags.hpp"
 
 namespace dsrt::engine {
 
@@ -33,16 +34,10 @@ struct SweepAxis {
       std::vector<std::pair<std::string,
                             std::function<void(system::Config&)>>> options);
 
-  /// Axis over a well-known Config field, by name — the vocabulary of the
-  /// CLI: load, frac_local, rel_flex, nodes, m, horizon, warmup, pex_err,
-  /// ssp, psp, policy, abort, shape, load_model. Values arrive as strings
-  /// (numeric
-  /// fields are parsed strictly; nodes/m must be non-negative integers).
-  /// A `shape` value applies that shape's section baseline (slack
-  /// distributions, sp_shape) along with the enum, matching what
-  /// `--shape=<value>` would start from. Throws std::invalid_argument for
-  /// unknown fields or unparsable values. Powers
-  /// `sim_cli --sweep_<field>=v1,v2,...`.
+  /// Axis over a config field, by name: each value is parsed by the
+  /// field's entry in system::config_fields(), exactly as `--<field>=v`
+  /// is, and labels the point verbatim. Throws std::invalid_argument for
+  /// an unknown field or an unparsable value.
   static SweepAxis by_field(const std::string& field,
                             const std::vector<std::string>& values);
 };
@@ -82,5 +77,11 @@ class SweepGrid {
   std::vector<SweepAxis> axes_;
   Mode mode_ = Mode::Cartesian;
 };
+
+/// The grid of `--sweep_<field>=v1,v2,...` flags, one axis per flag in
+/// name order (std::map), so the point order is the same on every run.
+/// A ';' in a value list switches its separator from ','. `--zip`
+/// advances the axes in lockstep.
+SweepGrid grid_from_flags(const util::Flags& flags);
 
 }  // namespace dsrt::engine

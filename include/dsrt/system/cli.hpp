@@ -1,38 +1,42 @@
 #pragma once
 
+#include <functional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "dsrt/system/config.hpp"
 #include "dsrt/util/flags.hpp"
 
 namespace dsrt::system {
 
-/// Builds a Config from command-line flags, starting from the Table-1
-/// baseline of the requested shape. Lets any experiment be run without
-/// writing code:
-///
-///   --shape=serial|parallel|serial-parallel   (default serial)
-///   --load=0.5 --frac_local=0.75 --nodes=6 --m=4
-///   --ssp=UD|ED|EQS|EQF|EQS-S|EQF-S           (serial strategy)
-///   --psp=UD|DIV<x>|GF                        (parallel strategy)
-///   --policy=EDF|MLF|FCFS|SJF                 (local scheduler)
-///   --abort=NoAbort|AbortTardy|AbortHopeless
-///   --rel_flex=1.0
-///   --smin=0.25 --smax=2.5                    (local slack range)
-///   --pex_err=0.5        (uniform relative error; 0 = perfect)
-///   --m_min=2 --m_max=6  (random per-task subtask count; optional)
-///   --sp_stages=3 --sp_prob=0.5 --sp_width=3  (serial-parallel shape)
-///   --links=2 --hop=0.25 (network-as-nodes: link count, mean hop time)
-///   --arrivals=poisson|batch:..|mmpp:..|onoff:..|diurnal:..  (arrival process)
-///   --service=exp|const|erlang:k|h2:scv|pareto:a|lognormal:s
-///                        (subtask service law, matched-mean)
-///   --trace=FILE         (replay a workload trace instead of generating)
-///   --periodic           (deterministic global inter-arrivals)
-///   --horizon=1e6 --warmup=0 --seed=...
-///
-/// Unknown flags (check_flags) and unknown strategy/policy names throw
-/// std::invalid_argument with the offending name.
+/// Sets one Config field to one parsed value.
+using ConfigSetter = std::function<void(Config&)>;
+
+/// One config field: its flag name and a strict parse of a value text into
+/// a setter (throws on garbage). The one vocabulary of `--<field>=v`,
+/// `--sweep_<field>=v1,...` (engine::SweepAxis::by_field) and the
+/// manifests' choices.
+struct ConfigField {
+  std::string_view name;
+  std::function<ConfigSetter(const std::string&)> parse;
+};
+
+/// Every config field, in the order config_from_flags applies them:
+/// `shape` first (it sets its section baseline's slack laws and sp_shape),
+/// `load_model` before `lm_tau` (it keeps the config's tau), `quick` after
+/// `horizon`. The lo/hi pairs smin/smax and m_min/m_max compose in either
+/// order, and `hop` is read only when `links` > 0.
+const std::vector<ConfigField>& config_fields();
+
+/// The setter for `field`=`value`. Throws std::invalid_argument naming the
+/// field and value for an unknown field or an unparsable value.
+ConfigSetter config_setter(std::string_view field, const std::string& value);
+
+/// Builds a Config from command-line flags: baseline_ssp() with every
+/// config field that was given applied in table order, then validated.
+/// Throws std::invalid_argument for an unknown flag (is_cli_flag), a bad
+/// value or an invalid combination.
 Config config_from_flags(const util::Flags& flags);
 
 /// Run-control options shared by the CLI tools: how many replications,
@@ -60,15 +64,11 @@ struct RunOptions {
 /// Throws std::invalid_argument on --reps < 1 or --jobs < 0.
 RunOptions run_options_from_flags(const util::Flags& flags);
 
-/// Returns the usage text above (for --help handling in tools).
+/// The --help text; its sweepable-field list is config_fields().
 std::string cli_usage();
 
-/// True for a flag name cli_usage() documents (without the leading
-/// "--"), including every `sweep_<field>` axis.
+/// True for a config field, a run-control flag or a `sweep_<field>` axis
+/// (without the leading "--").
 bool is_cli_flag(std::string_view name);
-
-/// Throws std::invalid_argument("unknown flag --<name>") for the first
-/// flag that is not is_cli_flag, so a typo never runs as the default.
-void check_flags(const util::Flags& flags);
 
 }  // namespace dsrt::system

@@ -1,6 +1,8 @@
 #include "dsrt/system/cli.hpp"
 
+#include <limits>
 #include <stdexcept>
+#include <type_traits>
 
 #include "dsrt/fault/spec.hpp"
 #include "dsrt/system/baseline.hpp"
@@ -8,107 +10,207 @@
 
 namespace dsrt::system {
 
-Config config_from_flags(const util::Flags& flags) {
-  check_flags(flags);
-  const std::string shape = flags.get("shape", std::string("serial"));
-  Config cfg;
-  if (shape == "serial") {
-    cfg = baseline_ssp();
-  } else if (shape == "parallel") {
-    cfg = baseline_psp();
-  } else if (shape == "serial-parallel") {
-    cfg = baseline_combined();
+namespace {
+
+using Parse = std::function<ConfigSetter(const std::string&)>;
+
+/// Strict parse of a whole value text: bool (util::parse_bool), double
+/// (util::parse_double), string (verbatim) or an unsigned count or seed
+/// (util::parse_uint, so "-1", "4.7" and "1e3" all fail).
+template <class T>
+T parse_as(const std::string& text) {
+  if constexpr (std::is_same_v<T, std::string>) {
+    return text;
+  } else if constexpr (std::is_same_v<T, bool>) {
+    if (const auto v = util::parse_bool(text)) return *v;
+    throw std::invalid_argument("expected a bool");
+  } else if constexpr (std::is_same_v<T, double>) {
+    if (const auto v = util::parse_double(text)) return *v;
+    throw std::invalid_argument("expected a finite number");
   } else {
-    throw std::invalid_argument("config_from_flags: unknown shape '" + shape +
-                                "'");
+    static_assert(std::is_unsigned_v<T>);
+    const auto v = util::parse_uint(text);
+    if (v && *v <= std::numeric_limits<T>::max()) return static_cast<T>(*v);
+    throw std::invalid_argument("expected a non-negative integer");
   }
+}
 
-  cfg.load = flags.get("load", cfg.load);
-  cfg.frac_local = flags.get("frac_local", cfg.frac_local);
-  cfg.nodes = static_cast<std::size_t>(
-      flags.get("nodes", static_cast<long>(cfg.nodes)));
-  cfg.subtasks = static_cast<std::size_t>(
-      flags.get("m", static_cast<long>(cfg.subtasks)));
-  cfg.rel_flex = flags.get("rel_flex", cfg.rel_flex);
+/// A field whose value text `parse` turns into the value `store` sets.
+template <class Parser, class Store>
+Parse field(Parser parse, Store store) {
+  return [parse, store](const std::string& text) -> ConfigSetter {
+    const auto v = parse(text);
+    return [store, v](Config& cfg) { store(cfg, v); };
+  };
+}
 
-  if (flags.has("ssp"))
-    cfg.ssp = core::serial_strategy_by_name(flags.get("ssp", std::string()));
-  if (flags.has("psp"))
-    cfg.psp =
-        core::parallel_strategy_by_name(flags.get("psp", std::string()));
-  if (flags.has("load_model"))
-    cfg.load_model =
-        core::LoadModelSpec::parse(flags.get("load_model", std::string()));
-  if (flags.has("lm_tau")) {
-    cfg.load_model.ewma_tau = flags.get("lm_tau", cfg.load_model.ewma_tau);
-    cfg.load_model.validate();
-  }
-  if (flags.has("placement"))
-    cfg.placement =
-        core::PlacementSpec::parse(flags.get("placement", std::string()));
-  if (flags.has("arrivals"))
-    cfg.arrivals =
-        workload::ArrivalSpec::parse(flags.get("arrivals", std::string()));
-  if (flags.has("service")) {
-    // Matched-mean swap: only the law changes, the Table-1 mean (and with
-    // it the offered load) is preserved.
-    const auto spec =
-        workload::ServiceSpec::parse(flags.get("service", std::string()));
-    cfg.subtask_exec = spec.make(cfg.subtask_exec->mean());
-  }
-  cfg.trace = flags.get("trace", cfg.trace);
-  if (flags.has("policy"))
-    cfg.policy = sched::policy_by_name(flags.get("policy", std::string()));
-  if (flags.has("abort"))
-    cfg.abort_policy =
-        sched::abort_policy_by_name(flags.get("abort", std::string()));
+/// A field stored in one Config member: parse_as<T>, or a by-name registry
+/// or spec parser.
+template <class T, class Parser = T (*)(const std::string&)>
+Parse member(T Config::*slot, Parser parse = parse_as<T>) {
+  return field(parse, [slot](Config& cfg, const T& v) { cfg.*slot = v; });
+}
 
-  if (flags.has("smin") || flags.has("smax")) {
-    const auto* base =
+/// Moves one bound of a uniform range and keeps the other, so a lo/hi
+/// pair composes in either order. A bound moved past the other opens that
+/// side (an infinite mean, which Config::validate rejects) until the
+/// matching bound closes it again.
+sim::DistributionPtr with_bound(double lo, double hi, bool upper, double v) {
+  constexpr double inf = std::numeric_limits<double>::infinity();
+  return upper ? sim::uniform(v < lo ? -inf : lo, v)
+               : sim::uniform(v, v > hi ? inf : hi);
+}
+
+/// --smin/--smax: one bound of the local slack range, U[0.25, 2.5] when
+/// the slack is not uniform. The parallel shape's classes share it.
+Parse slack_bound(bool upper) {
+  return field(parse_as<double>, [upper](Config& cfg, double v) {
+    const auto* range =
         dynamic_cast<const sim::Uniform*>(cfg.local_slack.get());
-    const double lo = flags.get("smin", base ? base->lo() : 0.25);
-    const double hi = flags.get("smax", base ? base->hi() : 2.5);
-    cfg.local_slack = sim::uniform(lo, hi);
+    cfg.local_slack = with_bound(range ? range->lo() : 0.25,
+                                 range ? range->hi() : 2.5, upper, v);
     if (cfg.shape == GlobalShape::Parallel)
-      cfg.parallel_slack = sim::uniform(lo, hi);
+      cfg.parallel_slack = cfg.local_slack;
+  });
+}
+
+/// --m_min/--m_max: one bound of the per-task subtask-count range. With no
+/// range yet, m_min alone is U[m_min, m_min] and m_max alone U[1, m_max].
+Parse count_bound(bool upper) {
+  return field(parse_as<double>, [upper](Config& cfg, double v) {
+    const auto* range =
+        dynamic_cast<const sim::Uniform*>(cfg.subtask_count.get());
+    cfg.subtask_count = with_bound(range ? range->lo() : 1.0,
+                                   range ? range->hi() : v, upper, v);
+  });
+}
+
+}  // namespace
+
+const std::vector<ConfigField>& config_fields() {
+  static const std::vector<ConfigField> fields = {
+      // First: a shape switch sets the four fields its section baseline
+      // changes of baseline_ssp() (Section 5.2's shared U[1.25, 5.0]
+      // slack, the 3-stage sp_shape), which later fields refine.
+      {"shape", field(
+                    [](const std::string& text) {
+                      if (text == "serial") return baseline_ssp();
+                      if (text == "parallel") return baseline_psp();
+                      if (text == "serial-parallel") return baseline_combined();
+                      throw std::invalid_argument(
+                          "unknown shape (serial|parallel|serial-parallel)");
+                    },
+                    [](Config& cfg, const Config& shaped) {
+                      cfg.shape = shaped.shape;
+                      cfg.local_slack = shaped.local_slack;
+                      cfg.parallel_slack = shaped.parallel_slack;
+                      cfg.sp_shape = shaped.sp_shape;
+                    })},
+      {"load", member(&Config::load)},
+      {"frac_local", member(&Config::frac_local)},
+      {"nodes", member(&Config::nodes)},
+      {"m", member(&Config::subtasks)},
+      {"rel_flex", member(&Config::rel_flex)},
+      {"ssp", member(&Config::ssp, core::serial_strategy_by_name)},
+      {"psp", member(&Config::psp, core::parallel_strategy_by_name)},
+      // Before lm_tau, and keeping the config's tau: the utilization-EWMA
+      // time constant is lm_tau's alone.
+      {"load_model", field(core::LoadModelSpec::parse,
+                           [](Config& cfg, core::LoadModelSpec spec) {
+                             spec.ewma_tau = cfg.load_model.ewma_tau;
+                             cfg.load_model = spec;
+                           })},
+      {"lm_tau", field(parse_as<double>, [](Config& cfg, double tau) {
+         cfg.load_model.ewma_tau = tau;
+         cfg.load_model.validate();
+       })},
+      {"placement", member(&Config::placement, core::PlacementSpec::parse)},
+      {"arrivals", member(&Config::arrivals, workload::ArrivalSpec::parse)},
+      // Matched-mean: only the law changes; the subtask mean (and with it
+      // the offered load) is kept.
+      {"service", field(workload::ServiceSpec::parse,
+                        [](Config& cfg, const workload::ServiceSpec& spec) {
+                          cfg.subtask_exec =
+                              spec.make(cfg.subtask_exec->mean());
+                        })},
+      {"trace", member(&Config::trace)},
+      {"policy", member(&Config::policy, sched::policy_by_name)},
+      {"abort", member(&Config::abort_policy, sched::abort_policy_by_name)},
+      {"smin", slack_bound(false)},
+      {"smax", slack_bound(true)},
+      {"pex_err", member(&Config::pex_error,
+                         [](const std::string& text) {
+                           const double error = parse_as<double>(text);
+                           if (!(error >= 0))
+                             throw std::invalid_argument(
+                                 "expected an error magnitude >= 0");
+                           return error > 0
+                                      ? workload::make_uniform_relative_error(
+                                            error)
+                                      : workload::make_perfect_prediction();
+                         })},
+      {"m_min", count_bound(false)},
+      {"m_max", count_bound(true)},
+      {"sp_stages", field(parse_as<std::size_t>,
+                          [](Config& cfg, std::size_t n) {
+                            cfg.sp_shape.stages = n;
+                          })},
+      {"sp_prob", field(parse_as<double>, [](Config& cfg, double p) {
+         cfg.sp_shape.parallel_prob = p;
+       })},
+      {"sp_width", field(parse_as<std::size_t>,
+                         [](Config& cfg, std::size_t n) {
+                           cfg.sp_shape.parallel_width = n;
+                         })},
+      {"links", field(parse_as<std::size_t>, [](Config& cfg, std::size_t n) {
+         cfg.link_nodes = n;
+         if (n > 0 && !cfg.comm_exec) cfg.comm_exec = sim::exponential(0.25);
+       })},
+      // Mean hop time; read only when links > 0.
+      {"hop", member(&Config::comm_exec,
+                     [](const std::string& text) {
+                       return sim::exponential(parse_as<double>(text));
+                     })},
+      {"faults", member(&Config::faults, fault::FaultSpec::parse)},
+      {"periodic", member(&Config::periodic_globals)},
+      {"probes", member(&Config::probes)},
+      {"preempt", field(parse_as<bool>, [](Config& cfg, bool on) {
+         cfg.preemption = on ? sched::PreemptionMode::Preemptive
+                             : sched::PreemptionMode::NonPreemptive;
+       })},
+      {"horizon", member(&Config::horizon)},
+      {"warmup", member(&Config::warmup)},
+      {"seed", member(&Config::seed)},
+      // After horizon, which it overrides.
+      {"quick", field(parse_as<bool>, [](Config& cfg, bool on) {
+         if (on) cfg.horizon = 1e5;
+       })},
+  };
+  return fields;
+}
+
+ConfigSetter config_setter(std::string_view name, const std::string& value) {
+  for (const ConfigField& entry : config_fields()) {
+    if (entry.name != name) continue;
+    try {
+      return entry.parse(value);
+    } catch (const std::exception& error) {
+      throw std::invalid_argument(std::string(name) + "=" + value + ": " +
+                                  error.what());
+    }
   }
+  throw std::invalid_argument("unknown config field '" + std::string(name) +
+                              "'");
+}
 
-  const double pex_err = flags.get("pex_err", 0.0);
-  if (pex_err > 0)
-    cfg.pex_error = workload::make_uniform_relative_error(pex_err);
-
-  if (flags.has("m_min") || flags.has("m_max")) {
-    const double lo = flags.get("m_min", 1.0);
-    const double hi = flags.get("m_max", lo);
-    cfg.subtask_count = sim::uniform(lo, hi);
+Config config_from_flags(const util::Flags& flags) {
+  flags.check_known(is_cli_flag);
+  Config cfg = baseline_ssp();
+  for (const ConfigField& entry : config_fields()) {
+    const std::string name(entry.name);
+    if (flags.has(name))
+      config_setter(name, flags.get(name, std::string()))(cfg);
   }
-
-  cfg.sp_shape.stages = static_cast<std::size_t>(
-      flags.get("sp_stages", static_cast<long>(cfg.sp_shape.stages)));
-  cfg.sp_shape.parallel_prob =
-      flags.get("sp_prob", cfg.sp_shape.parallel_prob);
-  cfg.sp_shape.parallel_width = static_cast<std::size_t>(
-      flags.get("sp_width", static_cast<long>(cfg.sp_shape.parallel_width)));
-
-  cfg.link_nodes =
-      static_cast<std::size_t>(flags.get("links", 0L));
-  if (cfg.link_nodes > 0)
-    cfg.comm_exec = sim::exponential(flags.get("hop", 0.25));
-
-  if (flags.has("faults"))
-    cfg.faults = fault::FaultSpec::parse(flags.get("faults", std::string()));
-
-  cfg.periodic_globals = flags.get("periodic", false);
-  cfg.probes = flags.get("probes", false);
-  cfg.preemption = flags.get("preempt", false)
-                       ? sched::PreemptionMode::Preemptive
-                       : sched::PreemptionMode::NonPreemptive;
-
-  cfg.horizon = flags.get("horizon", cfg.horizon);
-  cfg.warmup = flags.get("warmup", cfg.warmup);
-  cfg.seed = static_cast<std::uint64_t>(
-      flags.get("seed", static_cast<long>(cfg.seed)));
-
   cfg.validate();
   return cfg;
 }
@@ -144,27 +246,34 @@ std::string joined_names(const std::vector<std::string_view>& names) {
   return out;
 }
 
+/// Every config field's name, comma-separated, wrapped under the usage
+/// text's description column and ended by a full stop.
+std::string field_names() {
+  const std::string indent(23, ' ');
+  std::string out, line;
+  for (const ConfigField& entry : config_fields()) {
+    const std::string item = std::string(entry.name) + ",";
+    if (!line.empty() && indent.size() + line.size() + item.size() >= 78) {
+      out += indent + line + "\n";
+      line.clear();
+    }
+    line += (line.empty() ? "" : " ") + item;
+  }
+  line.back() = '.';
+  return out + indent + line + "\n";
+}
+
 }  // namespace
 
 bool is_cli_flag(std::string_view name) {
-  // Every name cli_usage() documents; test_cli checks the two agree.
-  static constexpr std::string_view kNames[] = {
-      "shape", "load", "frac_local", "nodes", "m", "rel_flex", "ssp", "psp",
-      "load_model", "lm_tau", "placement", "policy", "abort", "arrivals",
-      "service", "trace", "faults", "smin", "smax", "pex_err", "m_min",
-      "m_max", "sp_stages", "sp_prob", "sp_width", "links", "hop",
-      "periodic", "preempt", "probes", "horizon", "warmup", "seed", "quick",
+  static constexpr std::string_view kRunControl[] = {
       "reps", "jobs", "out", "trace_out", "capture", "zip"};
   if (name.rfind("sweep_", 0) == 0) return true;
-  for (const std::string_view known : kNames)
+  for (const std::string_view known : kRunControl)
     if (name == known) return true;
+  for (const ConfigField& entry : config_fields())
+    if (name == entry.name) return true;
   return false;
-}
-
-void check_flags(const util::Flags& flags) {
-  for (const auto& [name, value] : flags.all())
-    if (!is_cli_flag(name))
-      throw std::invalid_argument("unknown flag --" + name);
 }
 
 std::string cli_usage() {
@@ -228,12 +337,11 @@ std::string cli_usage() {
       "                       replication 0 (open in ui.perfetto.dev)\n"
       "  --capture=FILE       write a workload trace of replication 0 in the\n"
       "                       replayable trace_io format (--trace=FILE)\n"
-      "  --sweep_<field>=v1,v2,...   sweep axis over a config field\n"
-      "                       (load, frac_local, rel_flex, nodes, m, ssp,\n"
-      "                        psp, policy, abort, pex_err, shape,\n"
-      "                        load_model, placement, arrivals, service,\n"
-      "                        ...);\n"
-      "                       repeatable; axes expand as a cartesian grid\n"
+      "  --sweep_<field>=v1,v2,...   sweep axis over a config field, each\n"
+      "                       value parsed as the field's own flag parses\n"
+      "                       it. The fields:\n" +
+      field_names() +
+      "                       Repeatable; axes expand as a cartesian grid\n"
       "                       (--zip: advance all axes in lockstep);\n"
       "                       a ';' in the value switches the separator, so\n"
       "                       comma-parameterized specs sweep:\n"

@@ -79,6 +79,13 @@ void Config::validate() const {
       !subtask_exec || !local_slack || !parallel_slack || !pex_error)
     throw std::invalid_argument("Config: null component");
   if (rel_flex <= 0) throw std::invalid_argument("Config: rel_flex <= 0");
+  // A lo/hi flag pair whose lower bound passed its upper one leaves an
+  // open range (config_fields), hence no finite mean.
+  for (const sim::Distribution* range :
+       {local_slack.get(), parallel_slack.get(), subtask_count.get()})
+    if (range && !std::isfinite(range->mean()))
+      throw std::invalid_argument(
+          "Config: empty range (--smin > --smax or --m_min > --m_max)");
   if (shape == GlobalShape::Parallel && !subtask_count && subtasks > nodes)
     throw std::invalid_argument(
         "Config: parallel task wider than node count");

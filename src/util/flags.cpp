@@ -1,5 +1,7 @@
 #include "dsrt/util/flags.hpp"
 
+#include <charconv>
+#include <cmath>
 #include <stdexcept>
 
 namespace dsrt::util {
@@ -36,37 +38,40 @@ std::string Flags::get(const std::string& name,
 double Flags::get(const std::string& name, double fallback) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;
-  try {
-    return std::stod(it->second);
-  } catch (const std::exception&) {
+  const auto v = parse_double(it->second);
+  if (!v)
     throw std::invalid_argument("flag --" + name + ": expected number, got '" +
                                 it->second + "'");
-  }
+  return *v;
 }
 
 long Flags::get(const std::string& name, long fallback) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;
-  try {
-    return std::stol(it->second);
-  } catch (const std::exception&) {
+  const std::string& text = it->second;
+  long v = 0;
+  const auto [end, error] =
+      std::from_chars(text.data(), text.data() + text.size(), v);
+  if (error != std::errc() || end != text.data() + text.size())
     throw std::invalid_argument("flag --" + name +
-                                ": expected integer, got '" + it->second +
-                                "'");
-  }
+                                ": expected integer, got '" + text + "'");
+  return v;
 }
 
 bool Flags::get(const std::string& name, bool fallback) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;
-  if (it->second.empty() || it->second == "1" || it->second == "true" ||
-      it->second == "yes" || it->second == "on")
-    return true;
-  if (it->second == "0" || it->second == "false" || it->second == "no" ||
-      it->second == "off")
-    return false;
-  throw std::invalid_argument("flag --" + name + ": expected bool, got '" +
-                              it->second + "'");
+  const auto v = parse_bool(it->second);
+  if (!v)
+    throw std::invalid_argument("flag --" + name + ": expected bool, got '" +
+                                it->second + "'");
+  return *v;
+}
+
+void Flags::check_known(
+    const std::function<bool(std::string_view)>& known) const {
+  for (const auto& [name, value] : values_)
+    if (!known(name)) throw std::invalid_argument("unknown flag --" + name);
 }
 
 std::vector<std::string> split(const std::string& text, char sep) {
@@ -89,11 +94,29 @@ std::optional<double> parse_double(std::string_view text) {
   try {
     std::size_t used = 0;
     const double v = std::stod(std::string(text), &used);
-    if (used != text.size()) return std::nullopt;
+    if (used != text.size() || !std::isfinite(v)) return std::nullopt;
     return v;
   } catch (const std::exception&) {
     return std::nullopt;
   }
+}
+
+std::optional<bool> parse_bool(std::string_view text) {
+  if (text.empty() || text == "1" || text == "true" || text == "yes" ||
+      text == "on")
+    return true;
+  if (text == "0" || text == "false" || text == "no" || text == "off")
+    return false;
+  return std::nullopt;
+}
+
+std::optional<std::uint64_t> parse_uint(std::string_view text) {
+  std::uint64_t v = 0;
+  const auto [end, error] =
+      std::from_chars(text.data(), text.data() + text.size(), v);
+  if (error != std::errc() || end != text.data() + text.size())
+    return std::nullopt;
+  return v;
 }
 
 }  // namespace dsrt::util

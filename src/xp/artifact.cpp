@@ -1,7 +1,6 @@
 #include "dsrt/xp/artifact.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
@@ -12,6 +11,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "dsrt/util/flags.hpp"
 #include "dsrt/xp/json.hpp"
 
 namespace dsrt::xp {
@@ -45,17 +45,6 @@ std::size_t as_index(const JsonValue& v, const char* what) {
   if (!(d >= 0 && d < 0x1p53) || d != std::floor(d))
     throw std::runtime_error(std::string("bad ") + what);
   return static_cast<std::size_t>(d);
-}
-
-/// Strict decimal uint64: digits only, no sign, no trailing text, no
-/// overflow.
-std::uint64_t parse_seed(const std::string& text) {
-  std::uint64_t seed = 0;
-  const char* end = text.data() + text.size();
-  const auto [stop, error] = std::from_chars(text.data(), end, seed);
-  if (error != std::errc() || stop != end)
-    throw std::runtime_error("bad seed '" + text + "'");
-  return seed;
 }
 
 /// `{"name":"<hexfloat>",...}` in the given order.
@@ -191,7 +180,10 @@ PointRecord parse_artifact_line(const std::string& manifest,
   for (const JsonValue& label : doc.at("labels").as_array())
     record.labels.push_back(label.as_string());
   record.config_hash = doc.at("config_hash").as_string();
-  record.seed = parse_seed(doc.at("seed").as_string());
+  const std::string& seed = doc.at("seed").as_string();
+  const auto parsed_seed = util::parse_uint(seed);
+  if (!parsed_seed) throw std::runtime_error("bad seed '" + seed + "'");
+  record.seed = *parsed_seed;
   record.replications = as_index(doc.at("reps"), "reps");
   record.wall_seconds = parse_hexfloat(doc.at("wall_seconds").as_string());
   record.metrics = parse_hex_object(doc.at("metrics"));

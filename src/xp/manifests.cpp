@@ -18,13 +18,10 @@
 #include <algorithm>
 #include <cstdint>
 
-#include "dsrt/core/parallel_strategies.hpp"
 #include "dsrt/core/serial_strategies.hpp"
-#include "dsrt/stats/report.hpp"
 #include "dsrt/system/baseline.hpp"
-#include "dsrt/workload/arrival.hpp"
+#include "dsrt/system/cli.hpp"
 #include "dsrt/workload/pex_error.hpp"
-#include "dsrt/workload/service.hpp"
 
 namespace dsrt::xp {
 
@@ -62,16 +59,26 @@ std::vector<TableView> md_views(const std::vector<std::string>& rows,
           {"MD_global (%)", rows, column, "md_global"}};
 }
 
+/// A choice that sets config fields (system::config_setter, the parse
+/// behind `--<field>=v`) in the order given.
+Choice fields(std::string label,
+              const std::vector<std::pair<std::string, std::string>>& values) {
+  std::vector<system::ConfigSetter> setters;
+  for (const auto& [field, value] : values)
+    setters.push_back(system::config_setter(field, value));
+  return {std::move(label), [setters](Config& cfg) {
+            for (const auto& set : setters) set(cfg);
+          }};
+}
+
 /// One `<ssp>/<placement>` choice: strategy, placement and the load model
 /// the placement reads.
 Choice ssp_placement(const std::string& ssp, const std::string& placement,
                      const std::string& load_model,
                      const std::string& label) {
-  return {label, [=](Config& cfg) {
-            cfg.ssp = core::serial_strategy_by_name(ssp);
-            cfg.placement = core::PlacementSpec::parse(placement);
-            cfg.load_model = core::LoadModelSpec::parse(load_model);
-          }};
+  return fields(label, {{"ssp", ssp},
+                        {"placement", placement},
+                        {"load_model", load_model}});
 }
 
 Manifest fig2_manifest() {
@@ -176,12 +183,9 @@ Manifest abl_scale_quick_manifest() {
              {std::pair<const char*, const char*>{"static", "none"},
               {"jsq-pex", "exact"},
               {"pod:2", "exact"}}) {
-          placements.emplace_back(
-              placement, [placement = std::string(placement),
-                          load_model = std::string(load_model)](Config& cfg) {
-                cfg.placement = core::PlacementSpec::parse(placement);
-                cfg.load_model = core::LoadModelSpec::parse(load_model);
-              });
+          placements.push_back(fields(
+              placement,
+              {{"placement", placement}, {"load_model", load_model}}));
         }
         grid.axis(SweepAxis::choices("k", std::move(ks)))
             .axis(SweepAxis::choices("placement", std::move(placements)));
@@ -312,15 +316,8 @@ Manifest abl_preemption_manifest() {
         SweepGrid grid;
         grid.axis(SweepAxis::by_field("load", {"0.5", "0.7"}))
             .axis(SweepAxis::choices(
-                "server",
-                {{"non-preempt",
-                  [](Config& cfg) {
-                    cfg.preemption = sched::PreemptionMode::NonPreemptive;
-                  }},
-                 {"preemptive",
-                  [](Config& cfg) {
-                    cfg.preemption = sched::PreemptionMode::Preemptive;
-                  }}}))
+                "server", {fields("non-preempt", {{"preempt", "0"}}),
+                           fields("preemptive", {{"preempt", "1"}})}))
             .axis(SweepAxis::by_field("ssp", {"UD", "EQF"}));
         return grid;
       },
@@ -373,13 +370,10 @@ Manifest abl_burstiness_manifest() {
       "in batches of U[1,B] at constant load 0.5 x {UD, EQF}",
       at_5e4(system::baseline_ssp()),
       [] {
-        std::vector<Choice> batches = {{"none", [](Config&) {}}};
-        for (const char* b : {"4", "8", "16"}) {
-          const auto spec =
-              workload::ArrivalSpec::parse(std::string("batch:1,") + b);
-          batches.emplace_back(std::string("U[1,") + b + "]",
-                               [spec](Config& cfg) { cfg.arrivals = spec; });
-        }
+        std::vector<Choice> batches = {fields("none", {})};
+        for (const std::string b : {"4", "8", "16"})
+          batches.push_back(
+              fields("U[1," + b + "]", {{"arrivals", "batch:1," + b}}));
         SweepGrid grid;
         grid.axis(SweepAxis::choices("batch", std::move(batches)))
             .axis(SweepAxis::by_field("ssp", {"UD", "EQF"}));
@@ -396,16 +390,9 @@ Manifest abl_subtask_count_manifest() {
       at_5e4(system::baseline_ssp()),
       [] {
         std::vector<Choice> ms;
-        for (std::size_t m : {1u, 2u, 4u, 8u, 12u}) {
-          ms.emplace_back(std::to_string(m), [m](Config& cfg) {
-            cfg.subtasks = m;
-            cfg.subtask_count = nullptr;
-          });
-        }
-        ms.emplace_back("U[2,6]", [](Config& cfg) {
-          cfg.subtasks = 4;
-          cfg.subtask_count = sim::uniform(2.0, 6.0);
-        });
+        for (const std::string m : {"1", "2", "4", "8", "12"})
+          ms.push_back(fields(m, {{"m", m}}));
+        ms.push_back(fields("U[2,6]", {{"m_min", "2"}, {"m_max", "6"}}));
         SweepGrid grid;
         grid.axis(SweepAxis::choices("m", std::move(ms)))
             .axis(SweepAxis::by_field("ssp", {"UD", "EQF"}));
@@ -421,15 +408,11 @@ Manifest abl_divx_sweep_manifest() {
       "loads 0.5 and 0.7, parallel baseline",
       at_5e4(system::baseline_psp()),
       [] {
-        std::vector<Choice> strategies = {
-            {"UD", [](Config& cfg) { cfg.psp = core::make_parallel_ud(); }}};
-        for (double x : {0.25, 0.5, 1.0, 2.0, 4.0, 8.0}) {
-          strategies.emplace_back(
-              "DIV-" + stats::Table::cell(x, 2),
-              [x](Config& cfg) { cfg.psp = core::make_div_x(x); });
-        }
-        strategies.emplace_back(
-            "GF", [](Config& cfg) { cfg.psp = core::make_gf(); });
+        std::vector<Choice> strategies = {fields("UD", {{"psp", "UD"}})};
+        for (const std::string x :
+             {"0.25", "0.50", "1.00", "2.00", "4.00", "8.00"})
+          strategies.push_back(fields("DIV-" + x, {{"psp", "DIV" + x}}));
+        strategies.push_back(fields("GF", {{"psp", "GF"}}));
         SweepGrid grid;
         grid.axis(SweepAxis::by_field("load", {"0.5", "0.7"}))
             .axis(SweepAxis::choices("psp", std::move(strategies)));
@@ -447,17 +430,12 @@ Manifest tab_ssp_psp_combined_manifest() {
       [] {
         std::vector<Choice> combos;
         for (const auto& [ssp, psp] :
-             {std::pair<const char*, const char*>{"UD", "UD"},
+             {std::pair<std::string, std::string>{"UD", "UD"},
               {"UD", "DIV1"},
               {"EQF", "UD"},
-              {"EQF", "DIV1"}}) {
-          combos.emplace_back(
-              std::string(ssp) + "-" + psp,
-              [ssp = std::string(ssp), psp = std::string(psp)](Config& cfg) {
-                cfg.ssp = core::serial_strategy_by_name(ssp);
-                cfg.psp = core::parallel_strategy_by_name(psp);
-              });
-        }
+              {"EQF", "DIV1"}})
+          combos.push_back(
+              fields(ssp + "-" + psp, {{"ssp", ssp}, {"psp", psp}}));
         SweepGrid grid;
         grid.axis(SweepAxis::by_field("load", {"0.3", "0.5", "0.7"}))
             .axis(SweepAxis::choices("ssp-psp", std::move(combos)));
@@ -473,20 +451,17 @@ Manifest abl_pex_error_manifest() {
       "(pex = ex(1 + U[-e,e]) or drawn independently) x {UD, ED, EQF}",
       at_5e4(system::baseline_ssp()),
       [] {
-        std::vector<std::pair<std::string, workload::PexErrorModelPtr>>
-            models = {{"perfect (e=0)", workload::make_perfect_prediction()}};
-        for (double e : {0.25, 0.5, 1.0}) {
-          models.emplace_back("uniform e=" + stats::Table::cell(e, 2),
-                              workload::make_uniform_relative_error(e));
-        }
-        models.emplace_back(
+        std::vector<Choice> predictions = {
+            fields("perfect (e=0)", {{"pex_err", "0"}})};
+        for (const std::string e : {"0.25", "0.50", "1.00"})
+          predictions.push_back(fields("uniform e=" + e, {{"pex_err", e}}));
+        const auto distribution_only =
+            workload::make_distribution_only(sim::exponential(1.0));
+        predictions.emplace_back(
             "distribution-only",
-            workload::make_distribution_only(sim::exponential(1.0)));
-        std::vector<Choice> predictions;
-        for (const auto& [label, model] : models) {
-          predictions.emplace_back(
-              label, [model = model](Config& cfg) { cfg.pex_error = model; });
-        }
+            [distribution_only](Config& cfg) {
+              cfg.pex_error = distribution_only;
+            });
         SweepGrid grid;
         grid.axis(SweepAxis::choices("prediction", std::move(predictions)))
             .axis(SweepAxis::by_field("ssp", {"UD", "ED", "EQF"}));
@@ -511,10 +486,7 @@ Manifest abl_service_variability_manifest() {
               {"H2 (scv=16)", "h2:16"},
               {"Pareto (alpha=2.5)", "pareto:2.5"},
               {"LogNormal (sigma=1)", "lognormal:1"}}) {
-          const auto service = workload::ServiceSpec::parse(spec);
-          laws.emplace_back(label, [service](Config& cfg) {
-            cfg.subtask_exec = service.make(cfg.subtask_exec->mean());
-          });
+          laws.push_back(fields(label, {{"service", spec}}));
         }
         SweepGrid grid;
         grid.axis(SweepAxis::choices("service", std::move(laws)))
@@ -562,22 +534,13 @@ Manifest abl_load_aware_manifest() {
       at_5e4(system::baseline_ssp()),
       [] {
         auto serial = [](const std::string& ssp, const std::string& lm) {
-          return Choice{ssp + (lm == "none" ? "" : "/" + lm),
-                        [ssp, lm](Config& cfg) {
-                          cfg.ssp = core::serial_strategy_by_name(ssp);
-                          cfg.load_model = core::LoadModelSpec::parse(lm);
-                        }};
+          return fields(ssp + (lm == "none" ? "" : "/" + lm),
+                        {{"ssp", ssp}, {"load_model", lm}});
         };
         // The parallel entries carry Section 5.2's baseline (shape, slack
         // ranges) along with the PSP, as --shape=parallel would.
-        const SweepAxis parallel_shape =
-            SweepAxis::by_field("shape", {"parallel"});
-        auto parallel = [&](const std::string& psp) {
-          return Choice{psp, [shape = parallel_shape.apply[0],
-                              psp](Config& cfg) {
-                          shape(cfg);
-                          cfg.psp = core::parallel_strategy_by_name(psp);
-                        }};
+        auto parallel = [](const std::string& psp) {
+          return fields(psp, {{"shape", "parallel"}, {"psp", psp}});
         };
         SweepGrid grid;
         grid.axis(SweepAxis::by_field("load", {"0.5", "0.7", "0.85"}))
@@ -666,15 +629,9 @@ Manifest abl_comm_overhead_manifest() {
       "shapes x {UD, EQF} at load 0.5",
       at_5e4(system::baseline_ssp()),
       [] {
-        std::vector<Choice> hops;
-        for (double hop : {0.0, 0.1, 0.25, 0.5}) {
-          hops.emplace_back(stats::Table::cell(hop, 2), [hop](Config& cfg) {
-            if (hop > 0) {
-              cfg.link_nodes = 2;
-              cfg.comm_exec = sim::exponential(hop);
-            }
-          });
-        }
+        std::vector<Choice> hops = {fields("0.00", {})};
+        for (const std::string hop : {"0.10", "0.25", "0.50"})
+          hops.push_back(fields(hop, {{"links", "2"}, {"hop", hop}}));
         SweepGrid grid;
         grid.axis(SweepAxis::by_field("shape", {"serial", "serial-parallel"}))
             .axis(SweepAxis::choices("hop", std::move(hops)))

@@ -1,6 +1,5 @@
 #include "dsrt/xp/runner.hpp"
 
-#include <charconv>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
@@ -9,17 +8,11 @@
 #include <vector>
 
 #include "dsrt/engine/emit.hpp"
+#include "dsrt/util/flags.hpp"
 
 namespace dsrt::xp {
 
 namespace {
-
-/// Strict decimal: digits only, no sign, no trailing text, no overflow.
-bool parse_size(std::string_view text, std::size_t& out) {
-  const char* end = text.data() + text.size();
-  const auto [stop, error] = std::from_chars(text.data(), end, out);
-  return error == std::errc() && stop == end;
-}
 
 RunRecord run_record(const system::RunMetrics& run) {
   RunRecord record;
@@ -59,14 +52,16 @@ PointRecord make_record(const Manifest& manifest,
 
 ShardSpec ShardSpec::parse(std::string_view text) {
   const auto slash = text.find('/');
-  ShardSpec spec;
-  const bool shape_ok =
-      slash != std::string_view::npos &&
-      parse_size(text.substr(0, slash), spec.index) &&
-      parse_size(text.substr(slash + 1), spec.count);
-  if (!shape_ok)
+  const auto index = util::parse_uint(text.substr(0, slash));
+  const auto count = slash == std::string_view::npos
+                         ? std::nullopt
+                         : util::parse_uint(text.substr(slash + 1));
+  if (!index || !count)
     throw std::invalid_argument("bad shard spec '" + std::string(text) +
                                 "' (expected I/N with decimal integers)");
+  ShardSpec spec;
+  spec.index = *index;
+  spec.count = *count;
   if (spec.count == 0)
     throw std::invalid_argument("bad shard spec '" + std::string(text) +
                                 "': N must be >= 1");

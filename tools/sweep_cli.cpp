@@ -29,6 +29,7 @@
 #include <cstdio>
 #include <exception>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "dsrt/engine/emit.hpp"
@@ -275,6 +276,13 @@ int main(int argc, char** argv) {
   const std::string command = args.front();
   args.erase(args.begin());
   try {
+    flags.check_known([](std::string_view name) {
+      for (const std::string_view known :
+           {"shards", "out", "resume", "jobs", "expectations",
+            "metric", "horizon", "reps"})
+        if (name == known) return true;
+      return false;
+    });
     if (command == "list") return cmd_list();
     if (command == "run") return cmd_run(flags, args);
     if (command == "check") return cmd_check(flags, args, /*bless=*/false);
