@@ -65,7 +65,7 @@ int main(int argc, char** argv) {
       system::Config cfg = system::baseline_ssp();
       cfg.horizon = horizon;
       cfg.ssp = ssp;
-      const auto r = engine::Runner().run_replications(cfg, 2);
+      const auto r = engine::run({{.config = cfg}}, 2, 0).front().result;
       table.add_row({label, stats::Table::percent(r.md_local.mean, 1),
                      stats::Table::percent(r.md_global.mean, 1)});
     }
@@ -85,7 +85,7 @@ int main(int argc, char** argv) {
       system::Config cfg = system::baseline_psp();
       cfg.horizon = horizon;
       cfg.psp = psp;
-      const auto r = engine::Runner().run_replications(cfg, 2);
+      const auto r = engine::run({{.config = cfg}}, 2, 0).front().result;
       table.add_row({label, stats::Table::percent(r.md_local.mean, 1),
                      stats::Table::percent(r.md_global.mean, 1)});
     }

@@ -49,7 +49,7 @@ int main(int argc, char** argv) {
                       "query p-mean latency"});
   for (const char* name : {"UD", "DIV1", "DIV2", "GF"}) {
     cfg.psp = core::parallel_strategy_by_name(name);
-    const auto result = engine::Runner().run_replications(cfg, 2);
+    const auto result = engine::run({{.config = cfg}}, 2, 0).front().result;
     table.add_row({name, stats::Table::percent(result.md_global.mean, 1),
                    stats::Table::percent(result.md_local.mean, 1),
                    stats::Table::cell(result.response_global.mean, 2)});

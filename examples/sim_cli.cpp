@@ -9,12 +9,13 @@
 // Single-configuration runs print per-class miss ratios with confidence
 // intervals, response-time quantiles, and utilizations. Sweep runs
 // (--sweep_<field>=v1,v2,... — repeatable; cartesian by default, --zip for
-// lockstep) print one row per grid point. The flags become an unregistered
-// xp manifest named sim_cli, run by xp::run_grid: replications and sweep
-// points execute concurrently on the engine thread pool (--jobs=N; results
-// are identical for every N). --out=DIR writes DIR/sim_cli.jsonl, one
-// exact xp artifact line per point, the same record sweep_cli writes;
-// runs without it only print.
+// lockstep) print one row per grid point. Every point runs through
+// engine::run: replications and sweep points execute concurrently on one
+// thread pool (--jobs=N; results are identical for every N). --out=DIR
+// writes DIR/sim_cli.jsonl, one exact xp artifact line per point
+// (xp::grid_records of an unregistered manifest named sim_cli), the same
+// record sweep_cli writes; runs without it only print.
+#include <chrono>
 #include <cstdio>
 #include <iostream>
 
@@ -81,11 +82,13 @@ int main(int argc, char** argv) {
   system::Config cfg;
   system::RunOptions opts;
   engine::SweepGrid grid;
+  std::vector<engine::SweepPoint> points;
   try {
     cfg = system::config_from_flags(flags);
     opts = system::run_options_from_flags(flags);
     grid = engine::grid_from_flags(flags);
-    for (const auto& point : grid.expand(cfg)) point.config.validate();
+    points = grid.expand(cfg);
+    for (const auto& point : points) point.config.validate();
   } catch (const std::exception& error) {
     std::fprintf(stderr, "bad configuration: %s\n%s", error.what(),
                  system::cli_usage().c_str());
@@ -107,32 +110,32 @@ int main(int argc, char** argv) {
   std::printf("lambda_local(total)=%.4f lambda_global=%.4f  reps=%zu\n",
               cfg.lambda_local_total(), cfg.lambda_global(), opts.reps);
 
-  xp::Manifest manifest;
-  manifest.name = "sim_cli";
-  manifest.replications = opts.reps;
-  manifest.base = [cfg] { return cfg; };
-  manifest.grid = [grid] { return grid; };
-  manifest.metrics = xp::default_metrics();
-  xp::GridRun run;
+  const auto start = std::chrono::steady_clock::now();
+  std::vector<engine::PointResult> results;
   try {
-    run = xp::run_grid(manifest, cfg, opts.reps, opts.jobs);
+    results = engine::run(std::move(points), opts.reps, opts.jobs);
   } catch (const std::exception& error) {
     std::fprintf(stderr, "sweep failed: %s\n", error.what());
     return 1;
   }
-  const engine::SweepResult& sweep = run.sweep;
+  const double wall =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+          .count();
+  const std::size_t units = results.size() * opts.reps;
   std::printf("%zu point(s) x %zu rep(s) on %zu job(s): %.2fs "
               "(%.2f runs/s)\n\n",
-              sweep.points.size(), sweep.replications, sweep.jobs,
-              sweep.wall_seconds, sweep.runs_per_second());
+              results.size(), opts.reps, engine::workers(opts.jobs, units),
+              wall,
+              wall > 0 ? static_cast<double>(units) / wall : 0.0);
 
+  const system::ExperimentResult& first = results.front().result;
   if (grid.axes().empty()) {
-    print_single_point(cfg, sweep.points.front().result);
-    if (!sweep.points.front().result.counters.empty())
+    print_single_point(cfg, first);
+    if (!first.counters.empty())
       std::printf("\ncounters (pooled over %zu reps):\n%s\n", opts.reps,
-                  sweep.points.front().result.counters.json().c_str());
+                  first.counters.json().c_str());
   } else {
-    engine::sweep_table(sweep).print(std::cout);
+    engine::sweep_table(grid.axis_names(), results).print(std::cout);
   }
 
   // --trace_out: one extra replication-0 run of the first point with the
@@ -143,9 +146,7 @@ int main(int argc, char** argv) {
       obs::PerfettoExporter::Options trace_options;
       trace_options.compute_nodes = cfg.nodes;
       obs::PerfettoExporter exporter(trace_options);
-      system::Config traced = grid.axes().empty()
-                                  ? cfg
-                                  : sweep.points.front().point.config;
+      system::Config traced = results.front().point.config;
       system::SimulationRun run(traced);
       run.set_observer(&exporter);
       run.run();
@@ -165,9 +166,7 @@ int main(int argc, char** argv) {
   // of the capturing and the replaying run's --out records.
   if (!opts.capture.empty()) {
     try {
-      system::Config captured = grid.axes().empty()
-                                    ? cfg
-                                    : sweep.points.front().point.config;
+      system::Config captured = results.front().point.config;
       workload::TraceWriter writer(opts.capture, captured.nodes,
                                    captured.link_nodes);
       system::SimulationRun run(captured);
@@ -183,15 +182,21 @@ int main(int argc, char** argv) {
   }
 
   if (writes_record) {
+    xp::Manifest manifest;
+    manifest.name = "sim_cli";
+    manifest.replications = opts.reps;
+    manifest.metrics = xp::default_metrics();
+    const std::size_t count = results.size();
     const std::string path = opts.out_dir + "/sim_cli.jsonl";
     try {
-      xp::write_artifact_file(manifest.name, path, run.records);
+      xp::write_artifact_file(
+          manifest.name, path,
+          xp::grid_records(manifest, std::move(results)));
     } catch (const std::exception& error) {
       std::fprintf(stderr, "%s\n", error.what());
       return 1;
     }
-    std::printf("\nwrote %s (%zu record(s))\n", path.c_str(),
-                run.records.size());
+    std::printf("\nwrote %s (%zu record(s))\n", path.c_str(), count);
   }
   return 0;
 }

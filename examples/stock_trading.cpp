@@ -126,7 +126,7 @@ int main(int argc, char** argv) {
                                               {"EQF", "DIV1"}}) {
     cfg.ssp = core::serial_strategy_by_name(combo.ssp);
     cfg.psp = core::parallel_strategy_by_name(combo.psp);
-    const auto result = engine::Runner().run_replications(cfg, 2);
+    const auto result = engine::run({{.config = cfg}}, 2, 0).front().result;
     table.add_row({std::string(combo.ssp) + "-" + combo.psp,
                    stats::Table::percent(result.md_global.mean, 1),
                    stats::Table::percent(result.md_local.mean, 1),

@@ -19,12 +19,12 @@
 ///   obs      - observability: metrics registry + engine probes, Perfetto
 ///              trace export, deadline-miss attribution (registry below
 ///              system, the observers beside trace)
-///   engine   - experiment orchestration: thread-pool replication/sweep
-///              runner, declarative parameter grids, DIV-x tuning, result
-///              and pivot tables
+///   engine   - experiment orchestration: one thread-pool executor
+///              (engine::run) for replications and sweeps, declarative
+///              parameter grids, DIV-x tuning, result and pivot tables
 ///   xp       - sweep harness: named manifest registry over the engine's
 ///              grids (every figure and ablation, with its table views),
-///              sharded/resumable runner with JSONL artifacts,
+///              sharded/resumable manifest runs with JSONL artifacts,
 ///              tolerance-band checker against committed expectations,
 ///              bitwise single-point reproduce (sweep_cli front-end)
 

@@ -9,23 +9,26 @@
 
 namespace dsrt::engine {
 
-/// Human-readable tables of executed sweeps. The machine-readable form of a
+/// Human-readable tables of executed grids. The machine-readable form of a
 /// run is the xp artifact line (xp::artifact_line), exact and per
 /// replication; these tables round for reading.
 
-/// Human-readable table: axis columns + MD_local/MD_global/MD_overall (%,
-/// with confidence half-widths), mean responses and utilization.
-stats::Table sweep_table(const SweepResult& sweep);
+/// Human-readable table: one column per name in `axis_names` (the grid's
+/// axis_names()), then MD_local/MD_global/MD_overall (%, with confidence
+/// half-widths), mean responses and utilization; one row per point.
+stats::Table sweep_table(const std::vector<std::string>& axis_names,
+                         const std::vector<PointResult>& points);
 
-/// Pivot of a cartesian sweep into the layout the paper figures use: one
-/// row per combination of the `rows` axes (first listed slowest, each in
-/// grid order), one column per value of the `column` axis, cell text
-/// produced by `cell` from that point's result. Throws
-/// std::invalid_argument unless rows + column name every sweep axis
-/// exactly once and the sweep covers the full cartesian grid.
+/// Pivot of an executed cartesian grid (`axis_names` are its axis_names())
+/// into the layout the paper figures use: one row per combination of the
+/// `rows` axes (first listed slowest, each in grid order), one column per
+/// value of the `column` axis, cell text produced by `cell` from that
+/// point's result. Throws std::invalid_argument unless rows + column name
+/// every axis exactly once and the points cover the full cartesian grid.
 stats::Table pivot_table(
-    const SweepResult& sweep, const std::vector<std::string>& rows,
-    const std::string& column,
+    const std::vector<std::string>& axis_names,
+    const std::vector<PointResult>& points,
+    const std::vector<std::string>& rows, const std::string& column,
     const std::function<std::string(const PointResult&)>& cell);
 
 /// Probes that `out_dir` accepts new files (creates and removes a scratch

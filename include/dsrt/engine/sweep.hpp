@@ -21,12 +21,6 @@ struct SweepAxis {
 
   std::size_t size() const { return labels.size(); }
 
-  /// Numeric axis: labels are the values formatted with `precision`
-  /// digits, each mutator calls `set(cfg, value)`.
-  static SweepAxis numeric(std::string name, const std::vector<double>& values,
-                           std::function<void(system::Config&, double)> set,
-                           int precision = 2);
-
   /// Discrete axis from explicit (label, mutator) choices, e.g. strategy
   /// names.
   static SweepAxis choices(
@@ -44,9 +38,9 @@ struct SweepAxis {
 
 /// One expanded grid point: the fully mutated config plus its coordinates.
 struct SweepPoint {
-  std::size_t ordinal = 0;            ///< row-major position in the grid
-  std::vector<std::string> labels;    ///< one per axis, aligned with axes
-  std::vector<std::size_t> indices;   ///< per-axis value index
+  std::size_t ordinal = 0;                ///< row-major position in grid
+  std::vector<std::string> labels = {};   ///< one per axis, aligned with axes
+  std::vector<std::size_t> indices = {};  ///< per-axis value index
   system::Config config;
 };
 

@@ -30,8 +30,9 @@ struct DivXTuneResult {
 /// (and symmetrically x_lo).
 ///
 /// Each probe runs `replications` replications of `config` with DIV-x as
-/// the PSP strategy on the engine Runner; choose the horizon accordingly —
-/// tuning cost is evaluations * replications * one run.
+/// the PSP strategy through engine::run, one worker per hardware thread;
+/// choose the horizon accordingly — tuning cost is evaluations *
+/// replications * one run.
 DivXTuneResult tune_div_x(system::Config config,
                           std::size_t replications = 1, double x_lo = 0.125,
                           double x_hi = 16.0, std::size_t max_probes = 10,

@@ -35,8 +35,8 @@ ConfigSetter config_setter(std::string_view field, const std::string& value);
 
 /// Builds a Config from command-line flags: baseline_ssp() with every
 /// config field that was given applied in table order, then validated.
-/// Throws std::invalid_argument for an unknown flag (is_cli_flag), a bad
-/// value or an invalid combination.
+/// Throws std::invalid_argument for an unknown flag (is_cli_flag), a
+/// positional argument, a bad value or an invalid combination.
 Config config_from_flags(const util::Flags& flags);
 
 /// Run-control options shared by the CLI tools: how many replications,

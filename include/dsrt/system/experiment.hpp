@@ -10,8 +10,8 @@
 namespace dsrt::system {
 
 /// Aggregate of R independent replications of one configuration — one data
-/// point of a paper figure. Estimates carry 95% (configurable) confidence
-/// half-widths over the replication means, the paper's methodology.
+/// point of a paper figure. Estimates carry 95% confidence half-widths over
+/// the replication means, the paper's methodology.
 struct ExperimentResult {
   stats::Estimate md_local;        ///< MD_local
   stats::Estimate md_global;       ///< MD_global
@@ -31,7 +31,6 @@ struct ExperimentResult {
 /// `runs`, so serial and parallel orchestration agree bit-for-bit as long
 /// as both present the runs in replication-index order. Throws
 /// std::invalid_argument when `runs` is empty.
-ExperimentResult aggregate_runs(std::vector<RunMetrics> runs,
-                                double confidence = 0.95);
+ExperimentResult aggregate_runs(std::vector<RunMetrics> runs);
 
 }  // namespace dsrt::system

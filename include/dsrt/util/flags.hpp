@@ -12,8 +12,9 @@ namespace dsrt::util {
 
 /// Minimal command-line flag parser shared by the tools and examples.
 ///
-/// Accepts `--name=value`, `--name value`, and bare boolean `--name`.
-/// Unknown positional arguments are collected in `positional()`.
+/// Accepts `--name=value` and bare boolean `--name`; a bare flag never
+/// takes the next argument as its value. Every argument without a leading
+/// `--` is collected in `positional()`.
 class Flags {
  public:
   Flags(int argc, const char* const* argv);

@@ -6,21 +6,14 @@
 #include <string_view>
 #include <vector>
 
+#include "dsrt/engine/runner.hpp"
 #include "dsrt/engine/sweep.hpp"
 #include "dsrt/system/config.hpp"
-#include "dsrt/system/experiment.hpp"
 
 namespace dsrt::xp {
 
-/// One executed grid point as the metric selectors see it: the replication
-/// aggregate plus the summed run time of its replications, each timed on
-/// its own, so the figure does not depend on how many ran at once.
-struct PointRun {
-  const system::ExperimentResult& result;
-  double run_seconds = 0;
-};
-
-/// One checked metric of a sweep point.
+/// One checked metric of a sweep point, selected from the executed point
+/// (engine::PointResult).
 ///
 /// `Exact` metrics are deterministic functions of (config, seed) — miss
 /// ratios, finished counts, event counts — and are recorded/compared
@@ -36,7 +29,7 @@ struct MetricSpec {
   Kind kind = Kind::Exact;
   double rel_tol = 0;
   double abs_tol = 0;
-  std::function<double(const PointRun&)> select;
+  std::function<double(const engine::PointResult&)> select;
 };
 
 /// The standard metric set shared by the built-in manifests: bitwise

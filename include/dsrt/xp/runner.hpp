@@ -4,6 +4,7 @@
 #include <functional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "dsrt/engine/runner.hpp"
 #include "dsrt/xp/artifact.hpp"
@@ -53,10 +54,12 @@ struct RunSummary {
   std::size_t resumed = 0;     ///< completed points skipped via --resume
 };
 
-/// Executes one point of the manifest (all replications, any job count —
-/// bit-identical results) and evaluates the manifest's metric selectors.
-/// The record it returns is exactly what the shard artifact stores and
-/// what `reproduce` must match bitwise on the Exact metrics.
+/// Executes one point of the manifest through engine::run (all
+/// replications, any job count — bit-identical results) and evaluates the
+/// manifest's metric selectors. The record is timed: wall_seconds is the
+/// call's wall time, and Relative metrics see the replications' summed run
+/// time. It is exactly what the shard artifact stores and what `reproduce`
+/// must match bitwise on the Exact metrics.
 PointRecord run_point(const Manifest& manifest,
                       const engine::SweepPoint& point, std::size_t jobs);
 
@@ -74,26 +77,20 @@ RunSummary run_manifest(const Manifest& manifest,
 PointRecord reproduce_point(const Manifest& manifest, std::size_t index,
                             std::size_t jobs = 1);
 
-/// A manifest's whole grid executed in one engine sweep, as `sweep_cli
-/// table` and sim_cli run it: the sweep plus one complete record per
-/// point, in grid order.
-struct GridRun {
-  engine::SweepResult sweep;
-  std::vector<PointRecord> records;
-};
+/// The records of a pooled grid run, one per point in grid order: what
+/// sim_cli --out writes for the engine::run results of its grid. A pooled
+/// run does not time single points, so wall_seconds is 0 and Relative
+/// metrics see run_seconds = 0: the lines are the same bytes for every job
+/// count. At the manifest's base() and replication count every Exact
+/// metric is bitwise what run_point records.
+std::vector<PointRecord> grid_records(
+    const Manifest& manifest, std::vector<engine::PointResult> results);
 
-/// Runs the manifest's grid over `base` — its base() with any run-control
-/// overrides applied — at `replications` per point. At base() and the
-/// manifest's replication count every Exact metric is bitwise what
-/// run_point records and `sweep_cli check` verifies. A pooled sweep does
-/// not time single points, so wall_seconds is 0 and Relative metrics see
-/// run_seconds = 0: the records' artifact lines are the same bytes for
-/// every job count.
-GridRun run_grid(const Manifest& manifest, const system::Config& base,
-                 std::size_t replications, std::size_t jobs);
-
-/// Every view of the manifest over `run`: its title line, then the pivot
-/// table (engine::pivot_table), each followed by a blank line.
-std::string render_views(const Manifest& manifest, const GridRun& run);
+/// Every view of the manifest over `results` (engine::run of its grid, in
+/// grid order): its title line, then the pivot table (engine::pivot_table)
+/// of the view's Exact metric, each followed by a blank line. The cells
+/// are the values the records hold.
+std::string render_views(const Manifest& manifest,
+                         const std::vector<engine::PointResult>& results);
 
 }  // namespace dsrt::xp

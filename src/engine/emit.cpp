@@ -15,14 +15,15 @@ std::string ci(const stats::Estimate& e) {
 
 }  // namespace
 
-stats::Table sweep_table(const SweepResult& sweep) {
-  std::vector<std::string> headers = sweep.axis_names;
+stats::Table sweep_table(const std::vector<std::string>& axis_names,
+                         const std::vector<PointResult>& points) {
+  std::vector<std::string> headers = axis_names;
   for (const char* h : {"MD_local(%)", "MD_global(%)", "MD_overall(%)",
                         "resp_local", "resp_global", "util(%)"})
     headers.push_back(h);
   stats::Table table(std::move(headers));
 
-  for (const PointResult& pr : sweep.points) {
+  for (const PointResult& pr : points) {
     std::vector<std::string> row = pr.point.labels;
     row.push_back(ci(pr.result.md_local));
     row.push_back(ci(pr.result.md_global));
@@ -40,17 +41,18 @@ stats::Table sweep_table(const SweepResult& sweep) {
 }
 
 stats::Table pivot_table(
-    const SweepResult& sweep, const std::vector<std::string>& rows,
-    const std::string& column,
+    const std::vector<std::string>& axis_names,
+    const std::vector<PointResult>& points,
+    const std::vector<std::string>& rows, const std::string& column,
     const std::function<std::string(const PointResult&)>& cell) {
-  // Map the named axes to sweep positions; every axis placed exactly once,
+  // Map the named axes to grid positions; every axis placed exactly once,
   // or two points would land in one cell.
-  const std::size_t axes = sweep.axis_names.size();
+  const std::size_t axes = axis_names.size();
   std::vector<std::size_t> row_axes;
   std::vector<bool> placed(axes, false);
   auto position = [&](const std::string& name) {
     for (std::size_t a = 0; a < axes; ++a) {
-      if (sweep.axis_names[a] != name) continue;
+      if (axis_names[a] != name) continue;
       if (placed[a])
         throw std::invalid_argument("pivot_table: axis '" + name +
                                     "' placed twice");
@@ -64,11 +66,11 @@ stats::Table pivot_table(
   for (std::size_t a = 0; a < axes; ++a)
     if (!placed[a])
       throw std::invalid_argument("pivot_table: axis '" +
-                                  sweep.axis_names[a] + "' not placed");
+                                  axis_names[a] + "' not placed");
 
   // Recover the axis value lists from the points' coordinates.
   std::vector<std::vector<std::string>> labels(axes);
-  for (const PointResult& pr : sweep.points) {
+  for (const PointResult& pr : points) {
     for (std::size_t a = 0; a < axes; ++a) {
       const std::size_t i = pr.point.indices[a];
       if (i >= labels[a].size()) labels[a].resize(i + 1);
@@ -76,15 +78,15 @@ stats::Table pivot_table(
     }
   }
 
-  // A zipped sweep has diagonal coordinates only; pivoting it would render
+  // A zipped grid has diagonal coordinates only; pivoting it would render
   // a mostly-empty matrix that looks like missing data.
   std::size_t row_count = 1;
   for (std::size_t a : row_axes) row_count *= labels[a].size();
   const std::size_t col_count = labels[col_axis].size();
-  if (sweep.points.size() != row_count * col_count)
+  if (points.size() != row_count * col_count)
     throw std::invalid_argument(
-        "pivot_table: sweep does not cover the full cartesian grid "
-        "(zipped sweep?)");
+        "pivot_table: points do not cover the full cartesian grid "
+        "(zipped grid?)");
 
   std::vector<std::string> headers = rows;
   headers.insert(headers.end(), labels[col_axis].begin(),
@@ -94,7 +96,7 @@ stats::Table pivot_table(
   // Row number = mixed-radix value of the row-axis indices.
   std::vector<std::vector<std::string>> cells(
       row_count, std::vector<std::string>(col_count));
-  for (const PointResult& pr : sweep.points) {
+  for (const PointResult& pr : points) {
     std::size_t r = 0;
     for (std::size_t a : row_axes)
       r = r * labels[a].size() + pr.point.indices[a];

@@ -2,23 +2,9 @@
 
 #include <stdexcept>
 
-#include "dsrt/stats/report.hpp"
 #include "dsrt/system/cli.hpp"
 
 namespace dsrt::engine {
-
-SweepAxis SweepAxis::numeric(std::string name,
-                             const std::vector<double>& values,
-                             std::function<void(system::Config&, double)> set,
-                             int precision) {
-  SweepAxis axis;
-  axis.name = std::move(name);
-  for (double v : values) {
-    axis.labels.push_back(stats::Table::cell(v, precision));
-    axis.apply.push_back([set, v](system::Config& cfg) { set(cfg, v); });
-  }
-  return axis;
-}
 
 SweepAxis SweepAxis::choices(
     std::string name,

@@ -19,7 +19,7 @@ struct Probe {
 Probe probe_at(system::Config& config, double x, std::size_t replications) {
   config.psp = core::make_div_x(x);
   const system::ExperimentResult r =
-      Runner().run_replications(config, replications);
+      run({{.config = config}}, replications, 0).front().result;
   return {r.md_local.mean, r.md_global.mean,
           r.md_global.mean - r.md_local.mean};
 }

@@ -205,6 +205,9 @@ ConfigSetter config_setter(std::string_view name, const std::string& value) {
 
 Config config_from_flags(const util::Flags& flags) {
   flags.check_known(is_cli_flag);
+  if (!flags.positional().empty())
+    throw std::invalid_argument("unexpected argument '" +
+                                flags.positional().front() + "'");
   Config cfg = baseline_ssp();
   for (const ConfigField& entry : config_fields()) {
     const std::string name(entry.name);

@@ -4,8 +4,7 @@
 
 namespace dsrt::system {
 
-ExperimentResult aggregate_runs(std::vector<RunMetrics> runs,
-                                double confidence) {
+ExperimentResult aggregate_runs(std::vector<RunMetrics> runs) {
   if (runs.empty())
     throw std::invalid_argument("aggregate_runs: no replications");
   ExperimentResult result;
@@ -27,13 +26,12 @@ ExperimentResult aggregate_runs(std::vector<RunMetrics> runs,
   result.runs = std::move(runs);
   for (const RunMetrics& m : result.runs) result.counters.merge(m.counters);
 
-  result.md_local = stats::replication_estimate(md_local, confidence);
-  result.md_global = stats::replication_estimate(md_global, confidence);
-  result.md_overall = stats::replication_estimate(md_overall, confidence);
-  result.response_local = stats::replication_estimate(resp_local, confidence);
-  result.response_global =
-      stats::replication_estimate(resp_global, confidence);
-  result.utilization = stats::replication_estimate(util, confidence);
+  result.md_local = stats::replication_estimate(md_local);
+  result.md_global = stats::replication_estimate(md_global);
+  result.md_overall = stats::replication_estimate(md_overall);
+  result.response_local = stats::replication_estimate(resp_local);
+  result.response_global = stats::replication_estimate(resp_global);
+  result.utilization = stats::replication_estimate(util);
   return result;
 }
 

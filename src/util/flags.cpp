@@ -15,13 +15,10 @@ Flags::Flags(int argc, const char* const* argv) {
     }
     arg = arg.substr(2);
     const auto eq = arg.find('=');
-    if (eq != std::string::npos) {
+    if (eq != std::string::npos)
       values_[arg.substr(0, eq)] = arg.substr(eq + 1);
-    } else if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-      values_[arg] = argv[++i];
-    } else {
+    else
       values_[arg] = "";  // bare boolean flag
-    }
   }
 }
 

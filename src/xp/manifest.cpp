@@ -5,18 +5,21 @@
 
 namespace dsrt::xp {
 
+using engine::PointResult;
+
 std::vector<MetricSpec> default_metrics(double ev_per_sec_rel_tol) {
   std::vector<MetricSpec> metrics;
-  metrics.push_back({"md_local", MetricSpec::Kind::Exact, 0, 0,
-                     [](const PointRun& p) { return p.result.md_local.mean; }});
+  metrics.push_back(
+      {"md_local", MetricSpec::Kind::Exact, 0, 0,
+       [](const PointResult& p) { return p.result.md_local.mean; }});
   metrics.push_back(
       {"md_global", MetricSpec::Kind::Exact, 0, 0,
-       [](const PointRun& p) { return p.result.md_global.mean; }});
+       [](const PointResult& p) { return p.result.md_global.mean; }});
   metrics.push_back(
       {"md_overall", MetricSpec::Kind::Exact, 0, 0,
-       [](const PointRun& p) { return p.result.md_overall.mean; }});
+       [](const PointResult& p) { return p.result.md_overall.mean; }});
   metrics.push_back({"finished_local", MetricSpec::Kind::Exact, 0, 0,
-                     [](const PointRun& p) {
+                     [](const PointResult& p) {
                        double finished = 0;
                        for (const auto& run : p.result.runs)
                          finished +=
@@ -24,7 +27,7 @@ std::vector<MetricSpec> default_metrics(double ev_per_sec_rel_tol) {
                        return finished;
                      }});
   metrics.push_back({"finished_global", MetricSpec::Kind::Exact, 0, 0,
-                     [](const PointRun& p) {
+                     [](const PointResult& p) {
                        double finished = 0;
                        for (const auto& run : p.result.runs)
                          finished +=
@@ -32,14 +35,14 @@ std::vector<MetricSpec> default_metrics(double ev_per_sec_rel_tol) {
                        return finished;
                      }});
   metrics.push_back({"events", MetricSpec::Kind::Exact, 0, 0,
-                     [](const PointRun& p) {
+                     [](const PointResult& p) {
                        double events = 0;
                        for (const auto& run : p.result.runs)
                          events += static_cast<double>(run.events);
                        return events;
                      }});
   metrics.push_back({"events_per_sec", MetricSpec::Kind::Relative,
-                     ev_per_sec_rel_tol, 0, [](const PointRun& p) {
+                     ev_per_sec_rel_tol, 0, [](const PointResult& p) {
                        double events = 0;
                        for (const auto& run : p.result.runs)
                          events += static_cast<double>(run.events);

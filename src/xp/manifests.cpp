@@ -27,6 +27,7 @@ namespace dsrt::xp {
 
 namespace {
 
+using engine::PointResult;
 using engine::SweepAxis;
 using engine::SweepGrid;
 using system::Config;
@@ -585,7 +586,7 @@ Manifest abl_node_count_manifest() {
 /// Aborted global tasks per 1000 generated, averaged over replications.
 MetricSpec aborted_per_1k_global() {
   return {"aborted_per_1k_global", MetricSpec::Kind::Exact, 0, 0,
-          [](const PointRun& p) {
+          [](const PointResult& p) {
             double per_k = 0;
             for (const auto& run : p.result.runs) {
               per_k += 1000.0 * static_cast<double>(run.global.aborted) /
@@ -640,7 +641,7 @@ Manifest abl_comm_overhead_manifest() {
       },
       md_views({"shape", "hop"}, "ssp"));
   m.metrics.push_back(
-      {"link_util", MetricSpec::Kind::Exact, 0, 0, [](const PointRun& p) {
+      {"link_util", MetricSpec::Kind::Exact, 0, 0, [](const PointResult& p) {
          double util = 0;
          for (const auto& run : p.result.runs)
            util += run.mean_link_utilization;

@@ -28,22 +28,21 @@ RunRecord run_record(const system::RunMetrics& run) {
 }
 
 PointRecord make_record(const Manifest& manifest,
-                        const engine::SweepPoint& point,
-                        const system::ExperimentResult& result,
-                        double wall_seconds, double run_seconds) {
+                        const engine::PointResult& executed,
+                        double wall_seconds) {
+  const engine::SweepPoint& point = executed.point;
   PointRecord record;
   record.index = point.ordinal;
   record.labels = point.labels;
   record.config_hash = point_config_hash(manifest, point);
   record.seed = point.config.seed;
-  record.replications = result.runs.size();
+  record.replications = executed.result.runs.size();
   record.wall_seconds = wall_seconds;
-  const PointRun run{result, run_seconds};
   for (const MetricSpec& metric : manifest.metrics)
-    record.metrics.emplace_back(metric.name, metric.select(run));
-  for (const system::RunMetrics& replication : result.runs)
+    record.metrics.emplace_back(metric.name, metric.select(executed));
+  for (const system::RunMetrics& replication : executed.result.runs)
     record.runs.push_back(run_record(replication));
-  for (const obs::MetricValue& counter : result.counters.metrics())
+  for (const obs::MetricValue& counter : executed.result.counters.metrics())
     record.counters.emplace_back(counter.name, counter.value);
   return record;
 }
@@ -73,18 +72,13 @@ ShardSpec ShardSpec::parse(std::string_view text) {
 
 PointRecord run_point(const Manifest& manifest,
                       const engine::SweepPoint& point, std::size_t jobs) {
-  const engine::Runner runner(jobs);
-
-  std::vector<double> run_seconds;
   const auto start = std::chrono::steady_clock::now();
-  const system::ExperimentResult result = runner.run_replications(
-      point.config, manifest.replications, &run_seconds);
+  const std::vector<engine::PointResult> results =
+      engine::run({point}, manifest.replications, jobs);
   const double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
-  double summed = 0;
-  for (const double seconds : run_seconds) summed += seconds;
-  return make_record(manifest, point, result, wall, summed);
+  return make_record(manifest, results.front(), wall);
 }
 
 RunSummary run_manifest(const Manifest& manifest,
@@ -173,31 +167,35 @@ PointRecord reproduce_point(const Manifest& manifest, std::size_t index,
   return record;
 }
 
-GridRun run_grid(const Manifest& manifest, const system::Config& base,
-                 std::size_t replications, std::size_t jobs) {
-  GridRun run;
-  run.sweep = engine::Runner(jobs).run_sweep(manifest.grid(), base,
-                                             replications);
-  for (const engine::PointResult& pr : run.sweep.points) {
-    run.records.push_back(make_record(manifest, pr.point, pr.result, 0, 0));
-    run.records.back().total = run.sweep.points.size();
+std::vector<PointRecord> grid_records(
+    const Manifest& manifest, std::vector<engine::PointResult> results) {
+  std::vector<PointRecord> records;
+  records.reserve(results.size());
+  for (engine::PointResult& executed : results) {
+    executed.run_seconds = 0;
+    records.push_back(make_record(manifest, executed, 0));
+    records.back().total = results.size();
   }
-  return run;
+  return records;
 }
 
-std::string render_views(const Manifest& manifest, const GridRun& run) {
+std::string render_views(const Manifest& manifest,
+                         const std::vector<engine::PointResult>& results) {
+  const std::vector<std::string> axes = manifest.grid().axis_names();
   std::ostringstream os;
   for (const TableView& view : manifest.views) {
-    if (!manifest.metric(view.metric))
+    const MetricSpec* metric = manifest.metric(view.metric);
+    if (!metric)
       throw std::invalid_argument("render_views: unknown metric '" +
                                   view.metric + "'");
-    const auto cell = [&](const engine::PointResult& pr) {
-      const double value = *run.records[pr.point.ordinal].metric(view.metric);
+    const auto cell = [&](const engine::PointResult& executed) {
+      const double value = metric->select(executed);
       return view.percent ? stats::Table::percent(value, 1)
                           : stats::Table::cell(value, 1);
     };
     os << view.title << '\n';
-    engine::pivot_table(run.sweep, view.rows, view.column, cell).print(os);
+    engine::pivot_table(axes, results, view.rows, view.column, cell)
+        .print(os);
     os << '\n';
   }
   return os.str();

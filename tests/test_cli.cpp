@@ -235,6 +235,19 @@ TEST(Cli, UnknownFlagsAreRejected) {
   EXPECT_EQ(system::cli_usage().find("--fingerprint"), std::string::npos);
 }
 
+TEST(Cli, StrayPositionalArgumentsAreRejected) {
+  // sim_cli takes flags only: `--horizon=2000 stray` is a bad
+  // configuration, not a run that ignores `stray`.
+  try {
+    parse({"--horizon=2000", "stray"});
+    FAIL() << "expected invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()), "unexpected argument 'stray'");
+  }
+  // A bare flag does not take the next argument as its value.
+  EXPECT_THROW(parse({"--quick", "stray"}), std::invalid_argument);
+}
+
 TEST(Cli, OutNamesTheRecordDirectoryAndDefaultsToNone) {
   EXPECT_EQ(options({}).out_dir, "");
   EXPECT_EQ(options({"--out=runs"}).out_dir, "runs");
@@ -402,10 +415,9 @@ std::string record_of(const std::vector<std::string>& args) {
       "short", {{"", [](system::Config& cfg) {
                    cfg.horizon = std::min(cfg.horizon, 2000.0);
                  }}}));
-  manifest.base = [base] { return base; };
-  manifest.grid = [grid] { return grid; };
   manifest.metrics = xp::default_metrics();
-  xp::PointRecord record = xp::run_grid(manifest, base, 1, 1).records.at(0);
+  xp::PointRecord record =
+      xp::grid_records(manifest, engine::run(grid.expand(base), 1, 1)).at(0);
   record.labels.clear();
   record.config_hash.clear();
   return xp::artifact_line(manifest.name, record);

@@ -1,4 +1,4 @@
-// Engine layer: thread pool, sweep grids, the parallel runner's
+// Engine layer: thread pool, sweep grids, the executor's (engine::run)
 // bit-for-bit equivalence with serial replication, and the result and
 // pivot tables.
 #include <gtest/gtest.h>
@@ -72,19 +72,16 @@ TEST(SweepGrid, EmptyGridExpandsToBaseConfig) {
 
 TEST(SweepGrid, CartesianExpansionIsRowMajorLastAxisFastest) {
   engine::SweepGrid grid;
-  grid.axis(engine::SweepAxis::numeric(
-          "load", {0.2, 0.4}, [](system::Config& c, double v) { c.load = v; }))
-      .axis(engine::SweepAxis::numeric(
-          "rel_flex", {0.5, 1.0, 2.0},
-          [](system::Config& c, double v) { c.rel_flex = v; }));
+  grid.axis(engine::SweepAxis::by_field("load", {"0.2", "0.4"}))
+      .axis(engine::SweepAxis::by_field("rel_flex", {"0.5", "1", "2"}));
   EXPECT_EQ(grid.points(), 6u);
   const auto points = grid.expand(tiny_config());
   ASSERT_EQ(points.size(), 6u);
   // Last axis (rel_flex) advances fastest.
-  EXPECT_EQ(points[0].labels, (std::vector<std::string>{"0.20", "0.50"}));
-  EXPECT_EQ(points[1].labels, (std::vector<std::string>{"0.20", "1.00"}));
-  EXPECT_EQ(points[3].labels, (std::vector<std::string>{"0.40", "0.50"}));
-  EXPECT_EQ(points[5].labels, (std::vector<std::string>{"0.40", "2.00"}));
+  EXPECT_EQ(points[0].labels, (std::vector<std::string>{"0.2", "0.5"}));
+  EXPECT_EQ(points[1].labels, (std::vector<std::string>{"0.2", "1"}));
+  EXPECT_EQ(points[3].labels, (std::vector<std::string>{"0.4", "0.5"}));
+  EXPECT_EQ(points[5].labels, (std::vector<std::string>{"0.4", "2"}));
   EXPECT_DOUBLE_EQ(points[5].config.load, 0.4);
   EXPECT_DOUBLE_EQ(points[5].config.rel_flex, 2.0);
   EXPECT_EQ(points[5].ordinal, 5u);
@@ -97,11 +94,8 @@ TEST(SweepGrid, CartesianExpansionIsRowMajorLastAxisFastest) {
 TEST(SweepGrid, ZippedAdvancesAxesInLockstep) {
   engine::SweepGrid grid;
   grid.mode(engine::SweepGrid::Mode::Zipped)
-      .axis(engine::SweepAxis::numeric(
-          "load", {0.2, 0.4}, [](system::Config& c, double v) { c.load = v; }))
-      .axis(engine::SweepAxis::numeric(
-          "horizon", {1000, 2000},
-          [](system::Config& c, double v) { c.horizon = v; }));
+      .axis(engine::SweepAxis::by_field("load", {"0.2", "0.4"}))
+      .axis(engine::SweepAxis::by_field("horizon", {"1000", "2000"}));
   EXPECT_EQ(grid.points(), 2u);
   const auto points = grid.expand(tiny_config());
   ASSERT_EQ(points.size(), 2u);
@@ -112,11 +106,8 @@ TEST(SweepGrid, ZippedAdvancesAxesInLockstep) {
 TEST(SweepGrid, ZippedLengthMismatchThrows) {
   engine::SweepGrid grid;
   grid.mode(engine::SweepGrid::Mode::Zipped)
-      .axis(engine::SweepAxis::numeric(
-          "load", {0.2, 0.4}, [](system::Config& c, double v) { c.load = v; }))
-      .axis(engine::SweepAxis::numeric(
-          "rel_flex", {1.0},
-          [](system::Config& c, double v) { c.rel_flex = v; }));
+      .axis(engine::SweepAxis::by_field("load", {"0.2", "0.4"}))
+      .axis(engine::SweepAxis::by_field("rel_flex", {"1"}));
   EXPECT_THROW(grid.expand(tiny_config()), std::invalid_argument);
 }
 
@@ -149,7 +140,13 @@ TEST(SweepAxis, ByFieldParsesKnownFieldsAndRejectsUnknown) {
                std::invalid_argument);
 }
 
-// --- Runner determinism ---------------------------------------------------
+// --- engine::run ----------------------------------------------------------
+
+/// `replications` replications of `cfg` alone, on `jobs` workers.
+system::ExperimentResult run_one(const system::Config& cfg,
+                                 std::size_t replications, std::size_t jobs) {
+  return engine::run({{.config = cfg}}, replications, jobs).front().result;
+}
 
 void expect_identical_runs(const std::vector<system::RunMetrics>& a,
                            const std::vector<system::RunMetrics>& b) {
@@ -169,67 +166,69 @@ void expect_identical_runs(const std::vector<system::RunMetrics>& a,
   }
 }
 
-TEST(Runner, ParallelReplicationsMatchSerialBitForBit) {
+TEST(Run, ParallelReplicationsMatchSerialBitForBit) {
   const system::Config cfg = tiny_config();
   const std::size_t reps = 4;
-  const auto serial = engine::Runner(1).run_replications(cfg, reps);
-  const auto threaded4 = engine::Runner(4).run_replications(cfg, reps);
+  const auto serial = run_one(cfg, reps, 1);
+  const auto threaded4 = run_one(cfg, reps, 4);
   expect_identical_runs(serial.runs, threaded4.runs);
   EXPECT_EQ(serial.md_global.mean, threaded4.md_global.mean);
   EXPECT_EQ(serial.md_global.half_width, threaded4.md_global.half_width);
   EXPECT_EQ(serial.utilization.mean, threaded4.utilization.mean);
 }
 
-TEST(Runner, RunSecondsTimeEachReplicationOnItsOwn) {
-  // Each replication's run time lands in its slot. On one job the
-  // replications run one after another inside the call, so their times
-  // sum to at most its wall time; on three they overlap, which changes
-  // neither the results nor the slot count.
+TEST(Run, RunSecondsTimeEachReplicationOnItsOwn) {
+  // A point's run_seconds sums its replications' own run times. On one
+  // job the replications run one after another inside the call, so the
+  // sum is at most its wall time; on three they overlap, which changes
+  // neither the results nor that every point is timed.
   const system::Config cfg = tiny_config();
-  std::vector<double> seconds;
   const auto start = std::chrono::steady_clock::now();
-  const auto serial = engine::Runner(1).run_replications(cfg, 3, &seconds);
+  const auto serial = engine::run({{.config = cfg}}, 3, 1);
   const double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
-  ASSERT_EQ(seconds.size(), 3u);
-  double sum = 0;
-  for (const double s : seconds) {
-    EXPECT_GT(s, 0.0);
-    sum += s;
-  }
-  EXPECT_LE(sum, wall);
+  ASSERT_EQ(serial.size(), 1u);
+  EXPECT_GT(serial[0].run_seconds, 0.0);
+  EXPECT_LE(serial[0].run_seconds, wall);
 
-  std::vector<double> threaded_seconds = {1.0};
-  const auto threaded =
-      engine::Runner(3).run_replications(cfg, 3, &threaded_seconds);
-  expect_identical_runs(serial.runs, threaded.runs);
-  ASSERT_EQ(threaded_seconds.size(), 3u);
-  for (const double s : threaded_seconds) EXPECT_GT(s, 0.0);
+  const auto threaded = engine::run({{.config = cfg}}, 3, 3);
+  expect_identical_runs(serial[0].result.runs, threaded[0].result.runs);
+  EXPECT_GT(threaded[0].run_seconds, 0.0);
 }
 
-TEST(Runner, SweepMatchesPerPointSerialRuns) {
+TEST(Run, PooledGridMatchesPerPointSerialRuns) {
   engine::SweepGrid grid;
   grid.axis(engine::SweepAxis::by_field("load", {"0.2", "0.4"}))
       .axis(engine::SweepAxis::by_field("ssp", {"UD", "EQF"}));
 
-  const auto sweep = engine::Runner(4).run_sweep(grid, tiny_config(), 2);
-  ASSERT_EQ(sweep.points.size(), 4u);
-  EXPECT_EQ(sweep.total_runs, 8u);
-  EXPECT_EQ(sweep.axis_names, (std::vector<std::string>{"load", "ssp"}));
-
-  for (const auto& pr : sweep.points) {
-    const auto serial =
-        engine::Runner(1).run_replications(pr.point.config, 2);
+  const auto results = engine::run(grid.expand(tiny_config()), 2, 4);
+  ASSERT_EQ(results.size(), 4u);
+  for (std::size_t p = 0; p < results.size(); ++p) {
+    const auto& pr = results[p];
+    EXPECT_EQ(pr.point.ordinal, p);  // grid order
+    ASSERT_EQ(pr.result.runs.size(), 2u);
+    EXPECT_GT(pr.run_seconds, 0.0);
+    const auto serial = run_one(pr.point.config, 2, 1);
     expect_identical_runs(serial.runs, pr.result.runs);
   }
 }
 
-TEST(Runner, ZeroReplicationsThrows) {
-  EXPECT_THROW(engine::Runner().run_replications(tiny_config(), 0),
+TEST(Run, WorkersAreTheJobsCappedByTheUnits) {
+  EXPECT_EQ(engine::workers(4, 2), 2u);
+  EXPECT_EQ(engine::workers(4, 8), 4u);
+  EXPECT_EQ(engine::workers(0, 1), 1u);
+  EXPECT_EQ(engine::workers(0, 1000000),
+            engine::ThreadPool::default_jobs());
+}
+
+TEST(Run, ZeroUnitsAndInvalidConfigsThrow) {
+  EXPECT_THROW(engine::run({{.config = tiny_config()}}, 0, 1),
                std::invalid_argument);
-  EXPECT_THROW(engine::Runner().run_sweep(engine::SweepGrid(), tiny_config(),
-                                          0),
+  EXPECT_THROW(engine::run({}, 2, 1), std::invalid_argument);
+  system::Config bad = tiny_config();
+  bad.load = 1.5;
+  EXPECT_THROW(engine::run({{.config = tiny_config()}, {.config = bad}}, 1, 2),
                std::invalid_argument);
 }
 
@@ -261,37 +260,38 @@ TEST(RunMetricsMerge, PoolsCountsAndSpanWeightsUtilization) {
 
 // --- Tables ---------------------------------------------------------------
 
-engine::SweepResult small_sweep() {
+engine::SweepGrid small_grid() {
   engine::SweepGrid grid;
   grid.axis(engine::SweepAxis::by_field("load", {"0.2", "0.4"}))
       .axis(engine::SweepAxis::by_field("ssp", {"UD", "EQF"}));
-  system::Config cfg = tiny_config();
-  cfg.horizon = 500;
-  return engine::Runner(2).run_sweep(grid, cfg, 2);
+  return grid;
 }
 
 TEST(Emit, TableAndPivotAgreeOnShape) {
-  const auto sweep = small_sweep();
+  system::Config cfg = tiny_config();
+  cfg.horizon = 500;
+  const engine::SweepGrid grid = small_grid();
+  const auto results = engine::run(grid.expand(cfg), 2, 2);
 
-  const auto table = engine::sweep_table(sweep);
+  const auto table = engine::sweep_table(grid.axis_names(), results);
   EXPECT_EQ(table.rows(), 4u);
 
   const auto pivot = engine::pivot_table(
-      sweep, {"load"}, "ssp", [](const engine::PointResult& p) {
+      grid.axis_names(), results, {"load"}, "ssp",
+      [](const engine::PointResult& p) {
         return stats::Table::percent(p.result.md_global.mean, 1);
       });
   EXPECT_EQ(pivot.rows(), 2u);  // one row per load
 }
 
 TEST(Emit, PivotTableRejectsZippedSweep) {
-  engine::SweepGrid grid;
-  grid.mode(engine::SweepGrid::Mode::Zipped)
-      .axis(engine::SweepAxis::by_field("load", {"0.2", "0.4"}))
-      .axis(engine::SweepAxis::by_field("ssp", {"UD", "EQF"}));
+  engine::SweepGrid grid = small_grid();
+  grid.mode(engine::SweepGrid::Mode::Zipped);
   system::Config cfg = tiny_config();
   cfg.horizon = 500;
-  const auto sweep = engine::Runner().run_sweep(grid, cfg, 1);
-  EXPECT_THROW(engine::pivot_table(sweep, {"load"}, "ssp",
+  const auto results = engine::run(grid.expand(cfg), 1, 0);
+  EXPECT_THROW(engine::pivot_table(grid.axis_names(), results, {"load"},
+                                   "ssp",
                                    [](const engine::PointResult&) {
                                      return std::string();
                                    }),
@@ -305,7 +305,7 @@ TEST(Emit, PivotTableStacksRowAxesAndPlacesEveryAxisOnce) {
       .axis(engine::SweepAxis::by_field("policy", {"EDF", "MLF", "FCFS"}));
   system::Config cfg = tiny_config();
   cfg.horizon = 200;
-  const auto sweep = engine::Runner().run_sweep(grid, cfg, 1);
+  const auto results = engine::run(grid.expand(cfg), 1, 0);
   const auto coordinates = [](const engine::PointResult& p) {
     return p.point.labels[0] + "/" + p.point.labels[1] + "/" +
            p.point.labels[2];
@@ -313,8 +313,8 @@ TEST(Emit, PivotTableStacksRowAxesAndPlacesEveryAxisOnce) {
 
   // Rows (policy, load), policy slowest; one column per ssp value. Each
   // cell must hold the point at exactly its coordinates.
-  const auto table = engine::pivot_table(sweep, {"policy", "load"}, "ssp",
-                                         coordinates);
+  const auto table = engine::pivot_table(
+      grid.axis_names(), results, {"policy", "load"}, "ssp", coordinates);
   std::ostringstream csv;
   table.print_csv(csv);
   EXPECT_EQ(csv.str(),
@@ -331,7 +331,8 @@ TEST(Emit, PivotTableStacksRowAxesAndPlacesEveryAxisOnce) {
            {{"load"}, "ssp"},                     // policy not placed
            {{"load", "ssp", "policy"}, "ssp"},    // ssp placed twice
            {{"load", "policy"}, "nope"}}) {       // unknown axis
-    EXPECT_THROW(engine::pivot_table(sweep, rows, column, coordinates),
+    EXPECT_THROW(engine::pivot_table(grid.axis_names(), results, rows,
+                                     column, coordinates),
                  std::invalid_argument)
         << column;
   }

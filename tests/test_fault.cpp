@@ -424,8 +424,8 @@ TEST(FaultGolden, MergedMetricsIndependentOfJobs) {
   system::Config cfg = faulty_golden_config();
   cfg.horizon = 10000;
   cfg.probes = true;
-  const auto serial = engine::Runner(1).run_replications(cfg, 4);
-  const auto parallel = engine::Runner(4).run_replications(cfg, 4);
+  const auto serial = engine::run({{.config = cfg}}, 4, 1).front().result;
+  const auto parallel = engine::run({{.config = cfg}}, 4, 4).front().result;
   ASSERT_EQ(serial.runs.size(), parallel.runs.size());
   for (std::size_t i = 0; i < serial.runs.size(); ++i) {
     EXPECT_EQ(serial.runs[i].events, parallel.runs[i].events);

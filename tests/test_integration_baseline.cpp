@@ -146,7 +146,7 @@ TEST(IntegrationBaseline, WarmupDropsEarlyTasks) {
 
 TEST(IntegrationBaseline, ExperimentAggregatesReplications) {
   Config cfg = quick(system::baseline_ssp(), 20000);
-  const auto result = engine::Runner().run_replications(cfg, 3);
+  const auto result = engine::run({{.config = cfg}}, 3, 0).front().result;
   ASSERT_EQ(result.runs.size(), 3u);
   EXPECT_EQ(result.md_local.replications, 3u);
   EXPECT_GT(result.md_local.half_width, 0.0);
@@ -157,8 +157,7 @@ TEST(IntegrationBaseline, ExperimentAggregatesReplications) {
             std::min(result.md_local.mean, result.md_global.mean) - 1e-9);
   EXPECT_LE(result.md_overall.mean,
             std::max(result.md_local.mean, result.md_global.mean) + 1e-9);
-  EXPECT_THROW(engine::Runner().run_replications(cfg, 0),
-               std::invalid_argument);
+  EXPECT_THROW(engine::run({{.config = cfg}}, 0, 0), std::invalid_argument);
 }
 
 TEST(IntegrationBaseline, AbortPolicyReducesWastedWork) {

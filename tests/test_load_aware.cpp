@@ -574,9 +574,10 @@ TEST(LoadAwareDeterminism, JobsOneEqualsJobsEightForEveryNewCombination) {
   }
   for (std::size_t i = 0; i < combos.size(); ++i) {
     SCOPED_TRACE(combos[i].describe());
-    const auto serial = engine::Runner(1).run_replications(combos[i], 4);
-    const auto parallel = engine::Runner(8).run_replications(combos[i], 4);
-    expect_bit_identical(serial.runs, parallel.runs);
+    const auto serial = engine::run({{.config = combos[i]}}, 4, 1);
+    const auto parallel = engine::run({{.config = combos[i]}}, 4, 8);
+    expect_bit_identical(serial.front().result.runs,
+                         parallel.front().result.runs);
   }
 }
 

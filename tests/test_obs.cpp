@@ -196,8 +196,8 @@ TEST(ObsProbes, MergedCountersIndependentOfJobs) {
   // so the pooled snapshot is identical for any worker count.
   system::Config cfg = probed_fig2();
   cfg.horizon = 10000;
-  const auto serial = engine::Runner(1).run_replications(cfg, 4);
-  const auto parallel = engine::Runner(4).run_replications(cfg, 4);
+  const auto serial = engine::run({{.config = cfg}}, 4, 1).front().result;
+  const auto parallel = engine::run({{.config = cfg}}, 4, 4).front().result;
   ASSERT_FALSE(serial.counters.empty());
   EXPECT_EQ(serial.counters.json(), parallel.counters.json());
 }

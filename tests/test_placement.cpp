@@ -914,8 +914,8 @@ TEST(PlacementSystem, JobsOneEqualsJobsEightForEveryPlacementCombo) {
   }
   for (const auto& cfg : combos) {
     SCOPED_TRACE(cfg.describe());
-    const auto serial = engine::Runner(1).run_replications(cfg, 4);
-    const auto parallel = engine::Runner(8).run_replications(cfg, 4);
+    const auto serial = engine::run({{.config = cfg}}, 4, 1).front().result;
+    const auto parallel = engine::run({{.config = cfg}}, 4, 8).front().result;
     ASSERT_EQ(serial.runs.size(), parallel.runs.size());
     for (std::size_t r = 0; r < serial.runs.size(); ++r) {
       SCOPED_TRACE(r);

@@ -59,9 +59,15 @@ TEST(Flags, ParsesEqualsForm) {
   EXPECT_EQ(f.get("name", std::string("x")), "EQF");
 }
 
-TEST(Flags, ParsesSpaceForm) {
-  const auto f = make_flags({"--reps", "4"});
-  EXPECT_EQ(f.get("reps", 0L), 4L);
+TEST(Flags, BareFlagLeavesTheNextArgumentPositional) {
+  // `sweep_cli run --resume abl_scale_quick`: the manifest stays a
+  // positional argument, not the value of --resume.
+  const auto f = make_flags({"--resume", "abl_scale_quick", "--reps", "4"});
+  EXPECT_TRUE(f.get("resume", false));
+  EXPECT_EQ(f.get("resume", std::string("x")), "");
+  EXPECT_EQ(f.get("reps", std::string("x")), "");
+  EXPECT_EQ(f.positional(),
+            (std::vector<std::string>{"abl_scale_quick", "4"}));
 }
 
 TEST(Flags, BareBooleanFlag) {

@@ -611,33 +611,35 @@ TEST(Runner, ReproduceReplaysRecordedPointsBitwiseAcrossManifests) {
 
 // --- table ----------------------------------------------------------------
 
-TEST(Table, GridRunMatchesRunPointAndRendersEveryView) {
-  // The `sweep_cli table` path runs the whole grid in one engine sweep;
-  // its cells must be exactly what run_point records and check verifies.
+TEST(Table, PooledGridMatchesRunPointAndRendersEveryView) {
+  // The `sweep_cli table` and sim_cli path runs the whole grid in one
+  // engine::run; its records and cells must be exactly what run_point
+  // records and check verifies.
   xp::Manifest manifest = tiny_manifest();
   manifest.views = {{"MD_global (%)", {"load"}, "ssp", "md_global"},
                     {"events", {"ssp"}, "load", "events", false}};
-  const xp::GridRun run = xp::run_grid(manifest, manifest.base(),
-                                       manifest.replications, /*jobs=*/2);
+  const std::vector<engine::PointResult> results =
+      engine::run(manifest.expand(), manifest.replications, /*jobs=*/2);
+  const std::vector<xp::PointRecord> records =
+      xp::grid_records(manifest, results);
   const std::vector<engine::SweepPoint> points = manifest.expand();
-  ASSERT_EQ(run.records.size(), points.size());
+  ASSERT_EQ(records.size(), points.size());
   for (std::size_t i = 0; i < points.size(); ++i) {
     const xp::PointRecord single = xp::run_point(manifest, points[i], 1);
-    EXPECT_EQ(run.records[i].index, i);
-    EXPECT_EQ(run.records[i].labels, single.labels);
-    expect_exact_metrics_equal(manifest, run.records[i], single);
-    expect_runs_equal(run.records[i], single);
+    EXPECT_EQ(records[i].index, i);
+    EXPECT_EQ(records[i].labels, single.labels);
+    expect_exact_metrics_equal(manifest, records[i], single);
+    expect_runs_equal(records[i], single);
   }
 
-  const std::string text = xp::render_views(manifest, run);
+  const std::string text = xp::render_views(manifest, results);
   EXPECT_NE(text.find("MD_global (%)\n"), std::string::npos) << text;
   EXPECT_NE(text.find("events\n"), std::string::npos) << text;
   // Point 1 is (load 0.2, EQF): its percent cell and raw event count.
   EXPECT_NE(text.find(stats::Table::percent(
-                *run.records[1].metric("md_global"), 1)),
+                *records[1].metric("md_global"), 1)),
             std::string::npos);
-  EXPECT_NE(text.find(stats::Table::cell(*run.records[1].metric("events"),
-                                         1)),
+  EXPECT_NE(text.find(stats::Table::cell(*records[1].metric("events"), 1)),
             std::string::npos);
 }
 
@@ -651,17 +653,20 @@ TEST(Table, GridRecordsHoldEveryReplicationAndNotTheJobCount) {
     cfg.probes = true;
     return cfg;
   };
-  const xp::GridRun one =
-      xp::run_grid(manifest, manifest.base(), manifest.replications, 1);
-  const xp::GridRun four =
-      xp::run_grid(manifest, manifest.base(), manifest.replications, 4);
-  ASSERT_EQ(one.records.size(), manifest.points());
-  ASSERT_EQ(four.records.size(), manifest.points());
-  for (std::size_t i = 0; i < one.records.size(); ++i) {
-    const xp::PointRecord& record = one.records[i];
-    const system::ExperimentResult& result = one.sweep.points[i].result;
+  const std::vector<engine::PointResult> results =
+      engine::run(manifest.expand(), manifest.replications, 1);
+  const std::vector<xp::PointRecord> one =
+      xp::grid_records(manifest, results);
+  const std::vector<xp::PointRecord> four = xp::grid_records(
+      manifest, engine::run(manifest.expand(), manifest.replications, 4));
+  ASSERT_EQ(one.size(), manifest.points());
+  ASSERT_EQ(four.size(), manifest.points());
+  for (std::size_t i = 0; i < one.size(); ++i) {
+    const xp::PointRecord& record = one[i];
+    const system::ExperimentResult& result = results[i].result;
     EXPECT_EQ(record.total, manifest.points());
     EXPECT_EQ(record.wall_seconds, 0.0);
+    EXPECT_EQ(*record.metric("events_per_sec"), 0.0);
     ASSERT_EQ(record.runs.size(), manifest.replications);
     for (std::size_t r = 0; r < record.runs.size(); ++r) {
       const system::RunMetrics& m = result.runs[r];
@@ -685,7 +690,7 @@ TEST(Table, GridRecordsHoldEveryReplicationAndNotTheJobCount) {
                              result.counters.metrics()[c].value));
     }
     const std::string line = xp::artifact_line("tiny", record);
-    EXPECT_EQ(line, xp::artifact_line("tiny", four.records[i]));
+    EXPECT_EQ(line, xp::artifact_line("tiny", four[i]));
     expect_runs_equal(record, xp::parse_artifact_line("tiny", line));
   }
 }

@@ -23,9 +23,10 @@
 // manifest definition and, when shard artifacts are present under --out,
 // asserts the exact metrics and every replication's values match the
 // recorded ones bitwise. table runs
-// the whole grid in one engine sweep and prints the manifest's views; with
+// the whole grid in one engine::run and prints the manifest's views; with
 // no overrides its cells are the values check verifies, and --horizon=1e6
 // gives the paper-scale tables.
+#include <chrono>
 #include <cstdio>
 #include <exception>
 #include <string>
@@ -33,6 +34,7 @@
 #include <vector>
 
 #include "dsrt/engine/emit.hpp"
+#include "dsrt/engine/runner.hpp"
 #include "dsrt/util/flags.hpp"
 #include "dsrt/xp/artifact.hpp"
 #include "dsrt/xp/checker.hpp"
@@ -157,14 +159,10 @@ int cmd_reproduce(const util::Flags& flags,
     return 2;
   }
   const xp::Manifest& manifest = xp::find_manifest(args[0]);
-  std::size_t index = 0;
-  try {
-    std::size_t consumed = 0;
-    index = std::stoul(args[1], &consumed);
-    if (consumed != args[1].size()) throw std::invalid_argument(args[1]);
-  } catch (const std::exception&) {
+  const auto parsed = util::parse_uint(args[1]);
+  if (!parsed)
     throw std::invalid_argument("bad point index '" + args[1] + "'");
-  }
+  const std::size_t index = *parsed;
   const xp::PointRecord record =
       xp::reproduce_point(manifest, index, jobs_flag(flags));
 
@@ -251,14 +249,21 @@ int cmd_table(const util::Flags& flags,
     const long reps =
         flags.get("reps", static_cast<long>(manifest.replications));
     if (reps < 1) throw std::invalid_argument("--reps must be >= 1");
-    const xp::GridRun run = xp::run_grid(
-        manifest, base, static_cast<std::size_t>(reps), jobs);
+    const auto start = std::chrono::steady_clock::now();
+    const std::vector<engine::PointResult> results =
+        engine::run(manifest.grid().expand(base),
+                    static_cast<std::size_t>(reps), jobs);
+    const double wall =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                      start)
+            .count();
+    const std::size_t units = results.size() * static_cast<std::size_t>(reps);
     std::printf("== %s ==\n%s\n%zu points x %ld reps, horizon %g, "
                 "%zu job(s): %.2fs\n\n%s",
                 manifest.name.c_str(), manifest.description.c_str(),
-                run.sweep.points.size(), reps, base.horizon, run.sweep.jobs,
-                run.sweep.wall_seconds,
-                xp::render_views(manifest, run).c_str());
+                results.size(), reps, base.horizon,
+                engine::workers(jobs, units), wall,
+                xp::render_views(manifest, results).c_str());
   }
   return 0;
 }
