@@ -1,7 +1,7 @@
 // Observability tour: one run instrumented end to end with the dsrt::obs
 // subsystem — engine counters, deadline-miss attribution, a Perfetto trace,
-// plus the classic trace/Gantt/slack tools, all fanned out from a single
-// observer slot.
+// plus the classic trace and Gantt tools, all fanned out from a single
+// observer slot, and the per-stage slack the run's metrics count.
 //
 //   ./example_observability [--ssp=UD] [--window=60] [--trace_out=FILE]
 #include <cstdio>
@@ -25,7 +25,6 @@ int main(int argc, char** argv) {
   // KeepTail: a small ring holding whatever led up to the end of the run.
   trace::Recorder recorder(256, trace::Overflow::KeepTail);
   trace::GanttChart gantt(1000.0, 1000.0 + window, 100);
-  trace::SlackProfiler profiler;
   obs::MissAttribution attribution(cfg.nodes);
   obs::PerfettoExporter::Options trace_options;
   trace_options.compute_nodes = cfg.nodes;
@@ -34,7 +33,6 @@ int main(int argc, char** argv) {
   obs::ObserverTee tee;
   tee.attach(&recorder);
   tee.attach(&gantt);
-  tee.attach(&profiler);
   tee.attach(&attribution);
   tee.attach(&exporter);
 
@@ -61,11 +59,11 @@ int main(int argc, char** argv) {
   gantt.render(std::cout, cfg.nodes);
 
   std::printf("\n--- slack consumed per stage (mean wait in queue) ---\n");
-  for (std::size_t s = 0; s < profiler.stages().size(); ++s)
+  for (std::size_t s = 0; s < cfg.subtasks; ++s)
     std::printf("  stage %zu: wait %.3f, window %.3f, virtual misses %.1f%%\n",
-                s + 1, profiler.stages()[s].wait.mean(),
-                profiler.stages()[s].allotted_window.mean(),
-                100.0 * profiler.stages()[s].virtual_miss.value());
+                s + 1, metrics.stages[s].wait.mean(),
+                metrics.stages[s].window.mean(),
+                100.0 * metrics.stages[s].virtual_miss.value());
 
   std::printf("\n--- why deadlines were missed (MD_global %.1f%%) ---\n",
               100.0 * metrics.global.missed.value());

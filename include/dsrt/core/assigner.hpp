@@ -90,6 +90,15 @@ class TaskInstance {
   sim::Time deadline() const { return deadline_; }
   InstanceState state() const { return state_; }
 
+  /// Simple subtasks of the task: its width (TaskSpec::leaf_count).
+  std::size_t leaf_count() const { return leaf_count_; }
+
+  /// Position of leaf `leaf` within its parent group: the
+  /// LeafSubmission::sibling_index every submission of it carries.
+  std::size_t stage_of(std::size_t leaf) const {
+    return vertices_[leaf].index_in_parent;
+  }
+
   /// Leaves submitted to nodes and not yet reported back.
   std::size_t outstanding() const { return outstanding_; }
 
@@ -211,6 +220,9 @@ class TaskInstance {
   /// Scratch: eligible-set positions a candidate view skips.
   std::vector<std::uint32_t> place_skipped_;
   InstanceState state_ = InstanceState::Completed;
+  // Fits the padding after state_: a larger instance pushes the pool's
+  // k/8-slot reserve past 128 KiB (see ProcessManager::reserve_for_scale).
+  std::uint32_t leaf_count_ = 0;
   std::size_t outstanding_ = 0;
   bool started_ = false;
 };

@@ -73,7 +73,6 @@
 #include "dsrt/system/process_manager.hpp"
 #include "dsrt/system/simulation.hpp"
 #include "dsrt/trace/recorder.hpp"
-#include "dsrt/trace/slack_profiler.hpp"
 #include "dsrt/util/flags.hpp"
 #include "dsrt/workload/arrival.hpp"
 #include "dsrt/workload/generator.hpp"

@@ -2,6 +2,7 @@
 
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "dsrt/engine/runner.hpp"
@@ -19,17 +20,28 @@ namespace dsrt::engine {
 stats::Table sweep_table(const std::vector<std::string>& axis_names,
                          const std::vector<PointResult>& points);
 
+/// Cell text of one point's result.
+using PivotCell = std::function<std::string(const PointResult&)>;
+
 /// Pivot of an executed cartesian grid (`axis_names` are its axis_names())
 /// into the layout the paper figures use: one row per combination of the
 /// `rows` axes (first listed slowest, each in grid order), one column per
 /// value of the `column` axis, cell text produced by `cell` from that
 /// point's result. Throws std::invalid_argument unless rows + column name
 /// every axis exactly once and the points cover the full cartesian grid.
+stats::Table pivot_table(const std::vector<std::string>& axis_names,
+                         const std::vector<PointResult>& points,
+                         const std::vector<std::string>& rows,
+                         const std::string& column, const PivotCell& cell);
+
+/// The same pivot for several (label, cell) pairs: each pair adds one
+/// block of rows, in order, and with more than one pair a leading "metric"
+/// column holds the pair's label. One pair renders exactly as above.
 stats::Table pivot_table(
     const std::vector<std::string>& axis_names,
     const std::vector<PointResult>& points,
     const std::vector<std::string>& rows, const std::string& column,
-    const std::function<std::string(const PointResult&)>& cell);
+    const std::vector<std::pair<std::string, PivotCell>>& cells);
 
 /// Probes that `out_dir` accepts new files (creates and removes a scratch
 /// file). Call before a long sweep whose artifacts land there, so a typo'd

@@ -1,5 +1,8 @@
 #pragma once
 
+#include <algorithm>
+#include <array>
+#include <cstddef>
 #include <cstdint>
 
 #include "dsrt/obs/registry.hpp"
@@ -19,8 +22,6 @@ struct ClassMetrics {
   /// Response-time distribution: bins of 0.25 covering [0, 200); use
   /// quantile() for median/p90/p99 tail analysis.
   stats::Histogram response_hist{0.25, 800};
-  /// Tardiness distribution over completed-but-late tasks (0 bin = on time).
-  stats::Histogram tardiness_hist{0.25, 800};
   std::uint64_t generated = 0;  ///< tasks submitted (incl. in-flight at end)
   std::uint64_t aborted = 0;    ///< tasks discarded by the abort policy
   std::uint64_t failed = 0;     ///< tasks lost to crashes (retries exhausted)
@@ -43,10 +44,35 @@ struct ClassMetrics {
   void merge(const ClassMetrics& other);
 };
 
+/// Global subtasks of one stage: its position within the parent group
+/// (core::LeafSubmission::sibling_index). Section 4.2's mechanism: under
+/// UD the early stages carry the far-away end-to-end deadline and consume
+/// most of the slack waiting; under EQS/EQF the waits even out.
+struct StageMetrics {
+  stats::Tally window;        ///< virtual deadline - submission time
+  stats::Tally wait;          ///< queue wait of completed subtasks
+  stats::Ratio virtual_miss;  ///< not completed by the virtual deadline
+
+  void merge(const StageMetrics& other);
+};
+
 /// Everything measured in one run.
 struct RunMetrics {
+  /// Buckets of the per-width and per-stage arrays; wider tasks and later
+  /// stages fold into the last bucket.
+  static constexpr std::size_t kBuckets = 16;
+
   ClassMetrics local;
   ClassMetrics global;
+  /// MD_global by task width (leaf count): width w is bucket w - 1. Every
+  /// global miss and completion lands in exactly one bucket, so the
+  /// buckets partition `global.missed` (Section 7: DIV-x "evens up the
+  /// miss rate of global tasks with different number of subtasks").
+  std::array<stats::Ratio, kBuckets> global_missed_by_width;
+  /// By stage: windows at every submission, waits at every completion and
+  /// virtual misses at every disposal, so the waits partition
+  /// `subtask_wait`.
+  std::array<StageMetrics, kBuckets> stages;
   stats::Tally subtask_wait;    ///< queue wait of global subtasks
   stats::Tally local_wait;      ///< queue wait of local tasks
   double mean_utilization = 0;  ///< average compute-server busy fraction
@@ -59,6 +85,15 @@ struct RunMetrics {
   obs::Snapshot counters;
 
   void reset();
+  /// The global-miss bucket of a task `width` leaves wide.
+  stats::Ratio& width_missed(std::size_t width) {
+    return global_missed_by_width[std::clamp<std::size_t>(width, 1,
+                                                          kBuckets) - 1];
+  }
+  /// The bucket of stage `index` (0-based sibling index).
+  StageMetrics& stage(std::size_t index) {
+    return stages[std::min(index, kBuckets - 1)];
+  }
   /// Pools another run into this one: counters add, per-task statistics
   /// merge exactly, and the utilization means combine weighted by each
   /// run's observed span.

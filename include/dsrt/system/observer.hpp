@@ -13,8 +13,10 @@ namespace dsrt::system {
 /// bookkeeping for them completed and must not re-enter the process
 /// manager.
 ///
-/// Used by the trace recorder and the per-stage slack profiler, and usable
-/// by applications for custom instrumentation.
+/// Used by the trace recorder, the Gantt chart and the obs sinks (miss
+/// attribution, Perfetto export), and usable by applications for custom
+/// instrumentation. Counts every run needs (per class, per task width,
+/// per stage) live in RunMetrics instead, filled by the process manager.
 class Observer {
  public:
   virtual ~Observer() = default;

@@ -18,6 +18,8 @@ enum class TraceKind : std::uint8_t {
   GlobalFinish,
   GlobalMiss,
   GlobalAbort,
+  GlobalFail,  ///< lost to a crash: the orphan could not be retried
+  GlobalShed,  ///< shed by the admission controller at dispatch
 };
 
 /// One recorded lifecycle event.
@@ -61,6 +63,8 @@ class Recorder final : public system::Observer {
   void on_global_finished(core::TaskId task, sim::Time now,
                           bool missed) override;
   void on_global_aborted(core::TaskId task, sim::Time now) override;
+  void on_global_failed(core::TaskId task, sim::Time now) override;
+  void on_global_shed(core::TaskId task, sim::Time now) override;
 
   /// Raw storage. In KeepTail mode after overflow this is rotated (oldest
   /// kept event is at `head()`, not index 0); use ordered() for

@@ -41,17 +41,19 @@ struct MetricSpec {
 /// manifest if blessed and checked on the same class of machine.
 std::vector<MetricSpec> default_metrics(double ev_per_sec_rel_tol = 9.0);
 
-/// One printed table of a manifest (`sweep_cli table`): the recorded
-/// Exact `metric` pivoted into one row per combination of the `rows` axes
-/// and one column per value of the `column` axis. Every grid axis appears
-/// exactly once across rows + column. Cells show the recorded value — for
-/// the md metrics the replication mean — with one decimal, in percent
-/// when `percent`.
+/// One printed table of a manifest (`sweep_cli table`): each recorded
+/// Exact metric of `metrics` pivoted into one row per combination of the
+/// `rows` axes and one column per value of the `column` axis. Every grid
+/// axis appears exactly once across rows + column. Several metrics stack
+/// their rows in list order under a leading "metric" column (one row per
+/// task width or stage). Cells show the recorded value — for the md
+/// metrics the replication mean — with one decimal, in percent when
+/// `percent`.
 struct TableView {
   std::string title;
   std::vector<std::string> rows;
   std::string column;
-  std::string metric;
+  std::vector<std::string> metrics;
   bool percent = true;
 };
 
@@ -87,8 +89,8 @@ struct Manifest {
 class Registry {
  public:
   /// Throws std::invalid_argument on duplicate or empty names, and on a
-  /// view naming an unknown axis or metric, a non-Exact metric, or not
-  /// placing every axis exactly once.
+  /// view naming no metric, an unknown axis or metric, a non-Exact metric,
+  /// or not placing every axis exactly once.
   void add(Manifest manifest);
 
   const Manifest* find(std::string_view name) const;

@@ -88,7 +88,7 @@ std::vector<PointRecord> grid_records(
 
 /// Every view of the manifest over `results` (engine::run of its grid, in
 /// grid order): its title line, then the pivot table (engine::pivot_table)
-/// of the view's Exact metric, each followed by a blank line. The cells
+/// of the view's Exact metrics, each followed by a blank line. The cells
 /// are the values the records hold.
 std::string render_views(const Manifest& manifest,
                          const std::vector<engine::PointResult>& results);

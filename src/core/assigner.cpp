@@ -36,6 +36,7 @@ void TaskInstance::reset(TaskId id, const TaskSpec& spec, sim::Time arrival,
   placement_ = placement;
   downstream_aware_ = load_model_ && ssp_->wants_downstream_load();
   state_ = InstanceState::Running;
+  leaf_count_ = 0;
   outstanding_ = 0;
   started_ = false;
 
@@ -62,6 +63,7 @@ void TaskInstance::reset(TaskId id, const TaskSpec& spec, sim::Time arrival,
     vx.pred_duration = s.pred_duration;
     vx.pending = s.child_count;
     if (s.kind == SpecKind::Simple) {
+      ++leaf_count_;
       vx.node = s.node;
       vx.exec = s.exec;
       vx.elig_first = s.elig_first;

@@ -40,11 +40,18 @@ stats::Table sweep_table(const std::vector<std::string>& axis_names,
   return table;
 }
 
+stats::Table pivot_table(const std::vector<std::string>& axis_names,
+                         const std::vector<PointResult>& points,
+                         const std::vector<std::string>& rows,
+                         const std::string& column, const PivotCell& cell) {
+  return pivot_table(axis_names, points, rows, column, {{"", cell}});
+}
+
 stats::Table pivot_table(
     const std::vector<std::string>& axis_names,
     const std::vector<PointResult>& points,
     const std::vector<std::string>& rows, const std::string& column,
-    const std::function<std::string(const PointResult&)>& cell) {
+    const std::vector<std::pair<std::string, PivotCell>>& cells) {
   // Map the named axes to grid positions; every axis placed exactly once,
   // or two points would land in one cell.
   const std::size_t axes = axis_names.size();
@@ -88,29 +95,34 @@ stats::Table pivot_table(
         "pivot_table: points do not cover the full cartesian grid "
         "(zipped grid?)");
 
+  const bool labelled = cells.size() > 1;
   std::vector<std::string> headers = rows;
+  if (labelled) headers.insert(headers.begin(), "metric");
   headers.insert(headers.end(), labels[col_axis].begin(),
                  labels[col_axis].end());
   stats::Table table(std::move(headers));
 
-  // Row number = mixed-radix value of the row-axis indices.
-  std::vector<std::vector<std::string>> cells(
-      row_count, std::vector<std::string>(col_count));
-  for (const PointResult& pr : points) {
-    std::size_t r = 0;
-    for (std::size_t a : row_axes)
-      r = r * labels[a].size() + pr.point.indices[a];
-    cells[r][pr.point.indices[col_axis]] = cell(pr);
-  }
-  for (std::size_t r = 0; r < row_count; ++r) {
-    std::vector<std::string> row(row_axes.size());
-    for (std::size_t i = row_axes.size(), rest = r; i-- > 0;) {
-      const std::size_t a = row_axes[i];
-      row[i] = labels[a][rest % labels[a].size()];
-      rest /= labels[a].size();
+  for (const auto& [label, cell] : cells) {
+    // Row number = mixed-radix value of the row-axis indices.
+    std::vector<std::vector<std::string>> texts(
+        row_count, std::vector<std::string>(col_count));
+    for (const PointResult& pr : points) {
+      std::size_t r = 0;
+      for (std::size_t a : row_axes)
+        r = r * labels[a].size() + pr.point.indices[a];
+      texts[r][pr.point.indices[col_axis]] = cell(pr);
     }
-    row.insert(row.end(), cells[r].begin(), cells[r].end());
-    table.add_row(std::move(row));
+    for (std::size_t r = 0; r < row_count; ++r) {
+      std::vector<std::string> row(row_axes.size());
+      for (std::size_t i = row_axes.size(), rest = r; i-- > 0;) {
+        const std::size_t a = row_axes[i];
+        row[i] = labels[a][rest % labels[a].size()];
+        rest /= labels[a].size();
+      }
+      if (labelled) row.insert(row.begin(), label);
+      row.insert(row.end(), texts[r].begin(), texts[r].end());
+      table.add_row(std::move(row));
+    }
   }
   return table;
 }

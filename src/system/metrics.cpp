@@ -13,7 +13,6 @@ void ClassMetrics::record_completed(double response_time,
   lateness.add(lateness_value);
   tardiness.add(std::max(0.0, lateness_value));
   response_hist.add(response_time);
-  tardiness_hist.add(std::max(0.0, lateness_value));
 }
 
 void ClassMetrics::record_aborted() {
@@ -37,16 +36,25 @@ void ClassMetrics::merge(const ClassMetrics& other) {
   lateness.merge(other.lateness);
   tardiness.merge(other.tardiness);
   response_hist.merge(other.response_hist);
-  tardiness_hist.merge(other.tardiness_hist);
   generated += other.generated;
   aborted += other.aborted;
   failed += other.failed;
   shed += other.shed;
 }
 
+void StageMetrics::merge(const StageMetrics& other) {
+  window.merge(other.window);
+  wait.merge(other.wait);
+  virtual_miss.merge(other.virtual_miss);
+}
+
 void RunMetrics::merge(const RunMetrics& other) {
   local.merge(other.local);
   global.merge(other.global);
+  for (std::size_t i = 0; i < kBuckets; ++i) {
+    global_missed_by_width[i].merge(other.global_missed_by_width[i]);
+    stages[i].merge(other.stages[i]);
+  }
   subtask_wait.merge(other.subtask_wait);
   local_wait.merge(other.local_wait);
   const double span = observed_span + other.observed_span;
@@ -67,6 +75,8 @@ void RunMetrics::merge(const RunMetrics& other) {
 void RunMetrics::reset() {
   local.reset();
   global.reset();
+  global_missed_by_width = {};
+  stages = {};
   subtask_wait.reset();
   local_wait.reset();
   mean_utilization = 0;

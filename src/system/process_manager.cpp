@@ -98,6 +98,7 @@ void ProcessManager::submit_global(const core::TaskSpec& spec,
     // per-task records stay consistent.
     ++sheds_;
     metrics_.global.record_shed();
+    metrics_.width_missed(spec.leaf_count()).add(true);
     if (observer_) {
       observer_->on_global_arrival(id, spec, sim_.now(), deadline);
       observer_->on_global_shed(id, sim_.now());
@@ -157,6 +158,7 @@ void ProcessManager::dispatch_submissions(
     // seeing pex, so a straggler is invisible until it overruns. A retry
     // re-flips the coin: the rerun may straggle independently.
     if (faults_) job.exec *= faults_->straggle_factor();
+    metrics_.stage(sub.sibling_index).window.add(sub.deadline - sim_.now());
     if (observer_) observer_->on_subtask_submitted(task_id, sub, sim_.now());
     nodes_[sub.node]->submit(std::move(job));
   }
@@ -217,6 +219,9 @@ void ProcessManager::handle_disposal(const sched::Job& job, sim::Time now,
       slots_[slot].generation != generation_of(job.task))
     throw std::logic_error("global job completion for unknown instance");
   core::TaskInstance& inst = slots_[slot].inst;
+  StageMetrics& stage = metrics_.stage(inst.stage_of(job.leaf));
+  stage.virtual_miss.add(outcome != sched::JobOutcome::Completed ||
+                         now > job.deadline);
 
   if (observer_) {
     // Observers see the stable TaskId, not the pool handle.
@@ -259,6 +264,7 @@ void ProcessManager::handle_disposal(const sched::Job& job, sim::Time now,
       if (!retried) {
         inst.abort();
         metrics_.global.record_failed();
+        metrics_.width_missed(inst.leaf_count()).add(true);
         if (observer_) observer_->on_global_failed(inst.id(), now);
       }
     }
@@ -274,11 +280,15 @@ void ProcessManager::handle_disposal(const sched::Job& job, sim::Time now,
     // silently below.
     inst.abort();
     metrics_.global.record_aborted();
+    metrics_.width_missed(inst.leaf_count()).add(true);
     if (observer_) observer_->on_global_aborted(inst.id(), now);
   }
 
-  if (outcome == sched::JobOutcome::Completed)
-    metrics_.subtask_wait.add(now - job.release - job.exec);
+  if (outcome == sched::JobOutcome::Completed) {
+    const double wait = now - job.release - job.exec;
+    metrics_.subtask_wait.add(wait);
+    stage.wait.add(wait);
+  }
 
   scratch_.clear();
   const bool task_done = inst.on_leaf_complete(job.leaf, now, scratch_);
@@ -294,6 +304,7 @@ void ProcessManager::handle_disposal(const sched::Job& job, sim::Time now,
 void ProcessManager::finish_global(core::TaskInstance& inst, sim::Time now) {
   metrics_.global.record_completed(/*response=*/now - inst.arrival(),
                                    /*lateness=*/now - inst.deadline());
+  metrics_.width_missed(inst.leaf_count()).add(now > inst.deadline());
   if (observer_)
     observer_->on_global_finished(inst.id(), now, now > inst.deadline());
 }

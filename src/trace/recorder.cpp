@@ -15,6 +15,8 @@ const char* to_string(TraceKind kind) {
     case TraceKind::GlobalFinish: return "global-finish";
     case TraceKind::GlobalMiss: return "global-miss";
     case TraceKind::GlobalAbort: return "global-abort";
+    case TraceKind::GlobalFail: return "global-fail";
+    case TraceKind::GlobalShed: return "global-shed";
   }
   return "?";
 }
@@ -88,6 +90,16 @@ void Recorder::on_global_finished(core::TaskId task, sim::Time now,
 void Recorder::on_global_aborted(core::TaskId task, sim::Time now) {
   if (TraceEvent* e = next_slot())
     fill(e, TraceKind::GlobalAbort, now, task, 0, 0, 0);
+}
+
+void Recorder::on_global_failed(core::TaskId task, sim::Time now) {
+  if (TraceEvent* e = next_slot())
+    fill(e, TraceKind::GlobalFail, now, task, 0, 0, 0);
+}
+
+void Recorder::on_global_shed(core::TaskId task, sim::Time now) {
+  if (TraceEvent* e = next_slot())
+    fill(e, TraceKind::GlobalShed, now, task, 0, 0, 0);
 }
 
 void Recorder::clear() {

@@ -51,10 +51,14 @@ std::size_t as_index(const JsonValue& v, const char* what) {
 std::string hex_object(
     const std::vector<std::pair<std::string, double>>& values) {
   std::string out = "{";
-  for (std::size_t i = 0; i < values.size(); ++i)
-    out += (i ? "," : "") + quoted(values[i].first) + ":" +
-           quoted(hexfloat(values[i].second));
-  return out + "}";
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    if (i) out += ',';
+    out += quoted(values[i].first);
+    out += ':';
+    out += quoted(hexfloat(values[i].second));
+  }
+  out += '}';
+  return out;
 }
 
 std::vector<std::pair<std::string, double>> parse_hex_object(

@@ -92,13 +92,17 @@ void Registry::add(Manifest manifest) {
     if (placed != axes)
       throw std::invalid_argument(where +
                                   ": must place every axis exactly once");
-    const MetricSpec* metric = manifest.metric(view.metric);
-    if (!metric)
-      throw std::invalid_argument(where + ": unknown metric '" + view.metric +
-                                  "'");
-    if (metric->kind != MetricSpec::Kind::Exact)
-      throw std::invalid_argument(where + ": metric '" + view.metric +
-                                  "' is not an Exact metric");
+    if (view.metrics.empty())
+      throw std::invalid_argument(where + ": names no metric");
+    for (const std::string& name : view.metrics) {
+      const MetricSpec* metric = manifest.metric(name);
+      if (!metric)
+        throw std::invalid_argument(where + ": unknown metric '" + name +
+                                    "'");
+      if (metric->kind != MetricSpec::Kind::Exact)
+        throw std::invalid_argument(where + ": metric '" + name +
+                                    "' is not an Exact metric");
+    }
   }
   manifests_.push_back(std::move(manifest));
 }

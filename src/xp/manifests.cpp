@@ -53,11 +53,23 @@ Manifest study(std::string name, std::string description, Config base,
   return m;
 }
 
+/// An Exact metric: the replication mean of `value` over the point's
+/// runs, as md_global is.
+MetricSpec run_mean(std::string name,
+                    std::function<double(const system::RunMetrics&)> value) {
+  return {std::move(name), MetricSpec::Kind::Exact, 0, 0,
+          [value = std::move(value)](const PointResult& p) {
+            double sum = 0;
+            for (const auto& run : p.result.runs) sum += value(run);
+            return sum / static_cast<double>(p.result.runs.size());
+          }};
+}
+
 /// The MD_local and MD_global tables most studies print.
 std::vector<TableView> md_views(const std::vector<std::string>& rows,
                                 const std::string& column) {
-  return {{"MD_local (%)", rows, column, "md_local"},
-          {"MD_global (%)", rows, column, "md_global"}};
+  return {{"MD_local (%)", rows, column, {"md_local"}},
+          {"MD_global (%)", rows, column, {"md_global"}}};
 }
 
 /// A choice that sets config fields (system::config_setter, the parse
@@ -83,7 +95,7 @@ Choice ssp_placement(const std::string& ssp, const std::string& placement,
 }
 
 Manifest fig2_manifest() {
-  return study(
+  Manifest m = study(
       "fig2_ssp",
       "Fig. 2 grid: MD_local/MD_global vs load for SSP strategies "
       "UD, ED, EQS, EQF (Table-1 baseline)",
@@ -96,9 +108,30 @@ Manifest fig2_manifest() {
         return grid;
       },
       {{"Fig. 2a — MD_local (%), by SSP strategy", {"load"}, "ssp",
-        "md_local"},
+        {"md_local"}},
        {"Fig. 2b — MD_global (%), by SSP strategy", {"load"}, "ssp",
-        "md_global"}});
+        {"md_global"}}});
+  // Response-time tails per class: miss ratios average away what the
+  // tails show (Section 2 on [11]: work units with far-off deadlines
+  // suffer under EDF).
+  TableView tails{"Fig. 2 companion — response-time quantiles, by SSP "
+                  "strategy",
+                  {"load"}, "ssp", {}, false};
+  for (const bool global : {false, true}) {
+    for (const auto& [tag, q] : {std::pair<const char*, double>{"p50", 0.5},
+                                 {"p90", 0.9},
+                                 {"p99", 0.99}}) {
+      const std::string name = std::string("resp_") + tag +
+                               (global ? "_global" : "_local");
+      m.metrics.push_back(
+          run_mean(name, [global, q = q](const system::RunMetrics& run) {
+            return (global ? run.global : run.local).response_hist.quantile(q);
+          }));
+      tails.metrics.push_back(name);
+    }
+  }
+  m.views.push_back(std::move(tails));
+  return m;
 }
 
 Manifest fig3_manifest() {
@@ -115,9 +148,9 @@ Manifest fig3_manifest() {
         return grid;
       },
       {{"Fig. 3 — MD_local (%) vs fraction of local load", {"frac_local"},
-        "ssp", "md_local"},
+        "ssp", {"md_local"}},
        {"Fig. 3 — MD_global (%) vs fraction of local load", {"frac_local"},
-        "ssp", "md_global"}});
+        "ssp", {"md_global"}}});
 }
 
 Manifest fig4_manifest() {
@@ -134,9 +167,9 @@ Manifest fig4_manifest() {
         return grid;
       },
       {{"Fig. 4 — MD_local (%), by PSP strategy", {"load"}, "psp",
-        "md_local"},
+        {"md_local"}},
        {"Fig. 4 — MD_global (%), by PSP strategy", {"load"}, "psp",
-        "md_global"}});
+        {"md_global"}}});
 }
 
 Manifest abl_rel_flex_manifest() {
@@ -156,7 +189,7 @@ Manifest abl_rel_flex_manifest() {
       },
       {{"MD_global (%) — small UD/EQF gaps at the extremes (slack too tight "
         "or too loose), the biggest in the middle band",
-        {"rel_flex", "load"}, "ssp", "md_global"}});
+        {"rel_flex", "load"}, "ssp", {"md_global"}}});
 }
 
 Manifest abl_scale_quick_manifest() {
@@ -231,8 +264,8 @@ Manifest abl_stale_decay_manifest() {
             .axis(SweepAxis::by_field("placement", {"static", "jsq-pex"}));
         return grid;
       },
-      {{"MD_global (%)", {"load_model"}, "placement", "md_global"},
-       {"MD_overall (%)", {"load_model"}, "placement", "md_overall"}});
+      {{"MD_global (%)", {"load_model"}, "placement", {"md_global"}},
+       {"MD_overall (%)", {"load_model"}, "placement", {"md_overall"}}});
 }
 
 Manifest abl_faults_manifest() {
@@ -261,9 +294,9 @@ Manifest abl_faults_manifest() {
         return grid;
       },
       {{"MD_overall (%), both task classes pooled", {"faults"},
-        "strategy/placement", "md_overall"},
+        "strategy/placement", {"md_overall"}},
        {"MD_global (%), global tasks only", {"faults"}, "strategy/placement",
-        "md_global"}});
+        {"md_global"}}});
 }
 
 Manifest abl_heterogeneity_manifest() {
@@ -338,7 +371,7 @@ Manifest abl_static_vs_dynamic_manifest() {
                                       {"UD", "EQS", "EQS-S", "EQF", "EQF-S"}));
         return grid;
       },
-      {{"MD_global (%)", {"load"}, "ssp", "md_global"}});
+      {{"MD_global (%)", {"load"}, "ssp", {"md_global"}}});
 }
 
 Manifest abl_artificial_stages_manifest() {
@@ -420,6 +453,72 @@ Manifest abl_divx_sweep_manifest() {
         return grid;
       },
       md_views({"psp"}, "load"));
+}
+
+Manifest abl_fairness_by_m_manifest() {
+  Config base = at_5e4(system::baseline_psp());
+  system::config_setter("m_max", "6")(base);
+  Manifest m = study(
+      "abl_fairness_by_m",
+      "Section 7: DIV-x evens up the miss ratio of parallel tasks of "
+      "different widths (m ~ U[1,6], parallel baseline at load 0.5)",
+      base,
+      [] {
+        SweepGrid grid;
+        grid.axis(SweepAxis::by_field("psp",
+                                      {"UD", "DIV1", "DIV2", "GF", "EQF-P"}));
+        return grid;
+      },
+      {{"§7 — MD_global (%) by task width m", {}, "psp", {}}});
+  for (std::size_t width = 1; width <= 6; ++width) {
+    const std::string name = "md_global_m" + std::to_string(width);
+    m.metrics.push_back(run_mean(name, [width](const system::RunMetrics& run) {
+      return run.global_missed_by_width[width - 1].value();
+    }));
+    m.views.front().metrics.push_back(name);
+  }
+  return m;
+}
+
+Manifest abl_slack_profile_manifest() {
+  Manifest m = study(
+      "abl_slack_profile",
+      "Section 4.2: how each serial stage of a global task uses its "
+      "window under UD, ED and EQF (Table-1 baseline, m = 4)",
+      at_5e4(system::baseline_ssp()),
+      [] {
+        SweepGrid grid;
+        grid.axis(SweepAxis::by_field("ssp", {"UD", "ED", "EQF"}));
+        return grid;
+      },
+      {{"§4.2 — mean queue wait of a global subtask, by stage", {}, "ssp",
+        {}, false},
+       {"§4.2 — mean window (virtual deadline - submission), by stage", {},
+        "ssp", {}, false},
+       {"§4.2 — subtasks not done by their virtual deadline (%), by stage",
+        {}, "ssp", {}}});
+  // One view per quantity, one row per stage.
+  using Quantity = double (*)(const system::StageMetrics&);
+  const std::pair<const char*, Quantity> quantities[] = {
+      {"wait", [](const system::StageMetrics& s) { return s.wait.mean(); }},
+      {"window",
+       [](const system::StageMetrics& s) { return s.window.mean(); }},
+      {"vmiss", [](const system::StageMetrics& s) {
+         return s.virtual_miss.value();
+       }}};
+  for (std::size_t v = 0; v < std::size(quantities); ++v) {
+    const Quantity quantity = quantities[v].second;
+    for (std::size_t stage = 1; stage <= 4; ++stage) {
+      const std::string name = std::string(quantities[v].first) + "_stage" +
+                               std::to_string(stage);
+      m.metrics.push_back(
+          run_mean(name, [quantity, stage](const system::RunMetrics& run) {
+            return quantity(run.stages[stage - 1]);
+          }));
+      m.views[v].metrics.push_back(name);
+    }
+  }
+  return m;
 }
 
 Manifest tab_ssp_psp_combined_manifest() {
@@ -521,9 +620,9 @@ Manifest abl_placement_manifest() {
         return grid;
       },
       {{"MD_overall (%), both task classes pooled", {"load"},
-        "strategy/placement", "md_overall"},
+        "strategy/placement", {"md_overall"}},
        {"MD_global (%), global tasks only", {"load"}, "strategy/placement",
-        "md_global"}});
+        {"md_global"}}});
 }
 
 Manifest abl_load_aware_manifest() {
@@ -555,9 +654,9 @@ Manifest abl_load_aware_manifest() {
       },
       {{"MD_global (%), by strategy (serial family left, parallel family "
         "right)",
-        {"load"}, "strategy", "md_global"},
+        {"load"}, "strategy", {"md_global"}},
        {"MD_overall (%), both task classes pooled", {"load"}, "strategy",
-        "md_overall"}});
+        {"md_overall"}}});
 }
 
 Manifest abl_node_count_manifest() {
@@ -585,16 +684,11 @@ Manifest abl_node_count_manifest() {
 
 /// Aborted global tasks per 1000 generated, averaged over replications.
 MetricSpec aborted_per_1k_global() {
-  return {"aborted_per_1k_global", MetricSpec::Kind::Exact, 0, 0,
-          [](const PointResult& p) {
-            double per_k = 0;
-            for (const auto& run : p.result.runs) {
-              per_k += 1000.0 * static_cast<double>(run.global.aborted) /
-                       static_cast<double>(
-                           std::max<std::uint64_t>(1, run.global.generated));
-            }
-            return per_k / static_cast<double>(p.result.runs.size());
-          }};
+  return run_mean("aborted_per_1k_global", [](const system::RunMetrics& run) {
+    return 1000.0 * static_cast<double>(run.global.aborted) /
+           static_cast<double>(
+               std::max<std::uint64_t>(1, run.global.generated));
+  });
 }
 
 /// Section 4.3/7 abort ablation on one shape: four abort policies x the
@@ -606,7 +700,7 @@ Manifest abl_abort_manifest(std::string name, std::string description,
                             std::vector<std::string> strategies) {
   std::vector<TableView> views = md_views({"abort"}, axis);
   views.push_back({"aborted global tasks per 1000 generated", {"abort"},
-                   axis, "aborted_per_1k_global", false});
+                   axis, {"aborted_per_1k_global"}, false});
   Manifest m = study(
       std::move(name), std::move(description), std::move(base),
       [axis, strategies] {
@@ -640,15 +734,11 @@ Manifest abl_comm_overhead_manifest() {
         return grid;
       },
       md_views({"shape", "hop"}, "ssp"));
-  m.metrics.push_back(
-      {"link_util", MetricSpec::Kind::Exact, 0, 0, [](const PointResult& p) {
-         double util = 0;
-         for (const auto& run : p.result.runs)
-           util += run.mean_link_utilization;
-         return util / static_cast<double>(p.result.runs.size());
-       }});
+  m.metrics.push_back(run_mean("link_util", [](const system::RunMetrics& run) {
+    return run.mean_link_utilization;
+  }));
   m.views.push_back(
-      {"link utilization (%)", {"shape", "hop"}, "ssp", "link_util"});
+      {"link utilization (%)", {"shape", "hop"}, "ssp", {"link_util"}});
   return m;
 }
 
@@ -673,6 +763,8 @@ Registry& builtin_registry() {
     r.add(abl_burstiness_manifest());
     r.add(abl_subtask_count_manifest());
     r.add(abl_divx_sweep_manifest());
+    r.add(abl_fairness_by_m_manifest());
+    r.add(abl_slack_profile_manifest());
     r.add(tab_ssp_psp_combined_manifest());
     r.add(abl_pex_error_manifest());
     r.add(abl_service_variability_manifest());

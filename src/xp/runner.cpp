@@ -184,17 +184,21 @@ std::string render_views(const Manifest& manifest,
   const std::vector<std::string> axes = manifest.grid().axis_names();
   std::ostringstream os;
   for (const TableView& view : manifest.views) {
-    const MetricSpec* metric = manifest.metric(view.metric);
-    if (!metric)
-      throw std::invalid_argument("render_views: unknown metric '" +
-                                  view.metric + "'");
-    const auto cell = [&](const engine::PointResult& executed) {
-      const double value = metric->select(executed);
-      return view.percent ? stats::Table::percent(value, 1)
-                          : stats::Table::cell(value, 1);
-    };
+    std::vector<std::pair<std::string, engine::PivotCell>> cells;
+    for (const std::string& name : view.metrics) {
+      const MetricSpec* metric = manifest.metric(name);
+      if (!metric)
+        throw std::invalid_argument("render_views: unknown metric '" + name +
+                                    "'");
+      cells.emplace_back(name, [metric, percent = view.percent](
+                                   const engine::PointResult& executed) {
+        const double value = metric->select(executed);
+        return percent ? stats::Table::percent(value, 1)
+                       : stats::Table::cell(value, 1);
+      });
+    }
     os << view.title << '\n';
-    engine::pivot_table(axes, results, view.rows, view.column, cell)
+    engine::pivot_table(axes, results, view.rows, view.column, cells)
         .print(os);
     os << '\n';
   }

@@ -284,6 +284,41 @@ TEST(Emit, TableAndPivotAgreeOnShape) {
   EXPECT_EQ(pivot.rows(), 2u);  // one row per load
 }
 
+TEST(Emit, PivotTableStacksOneRowBlockPerLabelledCell) {
+  system::Config cfg = tiny_config();
+  cfg.horizon = 200;
+  const engine::SweepGrid grid = small_grid();
+  const auto results = engine::run(grid.expand(cfg), 1, 0);
+  const auto tagged = [](const char* tag) -> engine::PivotCell {
+    return [tag](const engine::PointResult& p) {
+      return tag + p.point.labels[0] + "/" + p.point.labels[1];
+    };
+  };
+
+  // Each labelled cell is one block of rows in list order, under a
+  // leading "metric" column.
+  std::ostringstream csv;
+  engine::pivot_table(grid.axis_names(), results, {"load"}, "ssp",
+                      {{"a", tagged("a:")}, {"b", tagged("b:")}})
+      .print_csv(csv);
+  EXPECT_EQ(csv.str(),
+            "metric,load,UD,EQF\n"
+            "a,0.2,a:0.2/UD,a:0.2/EQF\n"
+            "a,0.4,a:0.4/UD,a:0.4/EQF\n"
+            "b,0.2,b:0.2/UD,b:0.2/EQF\n"
+            "b,0.4,b:0.4/UD,b:0.4/EQF\n");
+
+  // One labelled cell renders exactly as the unlabelled pivot.
+  std::ostringstream one, plain;
+  engine::pivot_table(grid.axis_names(), results, {"load"}, "ssp",
+                      {{"a", tagged("a:")}})
+      .print_csv(one);
+  engine::pivot_table(grid.axis_names(), results, {"load"}, "ssp",
+                      tagged("a:"))
+      .print_csv(plain);
+  EXPECT_EQ(one.str(), plain.str());
+}
+
 TEST(Emit, PivotTableRejectsZippedSweep) {
   engine::SweepGrid grid = small_grid();
   grid.mode(engine::SweepGrid::Mode::Zipped);

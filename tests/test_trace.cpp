@@ -1,6 +1,8 @@
-// Tests for the observer hooks, trace recorder, and slack profiler.
+// Tests for the observer hooks and the trace recorder.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <vector>
@@ -8,9 +10,9 @@
 #include "dsrt/core/serial_strategies.hpp"
 #include "dsrt/obs/tee.hpp"
 #include "dsrt/system/baseline.hpp"
+#include "dsrt/system/cli.hpp"
 #include "dsrt/system/simulation.hpp"
 #include "dsrt/trace/recorder.hpp"
-#include "dsrt/trace/slack_profiler.hpp"
 
 namespace {
 
@@ -208,61 +210,44 @@ TEST(Recorder, PrintProducesOutput) {
   EXPECT_NE(truncated.str().find("more)"), std::string::npos);
 }
 
-TEST(SlackProfiler, ObservesAllStages) {
-  trace::SlackProfiler profiler;
+TEST(Recorder, EveryEndedGlobalTaskHasOneTerminalEvent) {
+  // Crashes with a retry budget and admission shedding: tasks also end
+  // failed or shed, and those must close their timelines too.
   system::Config cfg = tiny_config();
   cfg.horizon = 20000;
+  cfg.load = 0.85;
+  system::config_setter("faults", "crash:200,20;retry:2;shed:1.5")(cfg);
+  trace::Recorder recorder(std::numeric_limits<std::size_t>::max());
   system::SimulationRun run(cfg, 0);
-  run.set_observer(&profiler);
-  run.run();
-  ASSERT_EQ(profiler.stages().size(), 4u);  // m = 4 serial stages
-  for (const auto& stage : profiler.stages()) {
-    EXPECT_GT(stage.wait.count(), 50u);
-    EXPECT_GE(stage.wait.mean(), 0.0);
+  run.set_observer(&recorder);
+  const auto metrics = run.run();
+  ASSERT_GT(metrics.global.failed, 0u);
+  ASSERT_GT(metrics.global.shed, 0u);
+  ASSERT_EQ(recorder.dropped(), 0u);
+
+  std::map<core::TaskId, int> terminals;  // per arrived task
+  for (const trace::TraceEvent& e : recorder.events()) {
+    switch (e.kind) {
+      case trace::TraceKind::GlobalArrival:
+        terminals.emplace(e.task, 0);
+        break;
+      case trace::TraceKind::LocalSubmit:
+      case trace::TraceKind::SubtaskSubmit:
+      case trace::TraceKind::JobComplete:
+      case trace::TraceKind::JobAbort:
+        break;
+      default:
+        ++terminals.at(e.task);
+    }
   }
-  // In-flight leftovers at the horizon only.
-  EXPECT_LT(profiler.in_flight(), 50u);
-}
-
-TEST(SlackProfiler, UdConcentratesWaitInEarlyStages) {
-  // The paper's mechanism: under UD stage 1 waits much longer than stage 4;
-  // under EQF the waits are far more even.
-  auto profile = [&](const char* name) {
-    trace::SlackProfiler profiler;
-    system::Config cfg = tiny_config();
-    cfg.horizon = 60000;
-    cfg.ssp = core::serial_strategy_by_name(name);
-    system::SimulationRun run(cfg, 0);
-    run.set_observer(&profiler);
-    run.run();
-    std::vector<double> waits;
-    for (const auto& s : profiler.stages()) waits.push_back(s.wait.mean());
-    return waits;
-  };
-  const auto ud = profile("UD");
-  const auto eqf = profile("EQF");
-  ASSERT_EQ(ud.size(), 4u);
-  // UD: first stage waits much longer than the last.
-  EXPECT_GT(ud[0], 1.5 * ud[3]);
-  // EQF: spread between extreme stages is much smaller than UD's.
-  const auto spread = [](const std::vector<double>& w) {
-    const auto [lo, hi] = std::minmax_element(w.begin(), w.end());
-    return *hi - *lo;
-  };
-  EXPECT_LT(spread(eqf), 0.5 * spread(ud));
-}
-
-TEST(SlackProfiler, WindowsShrinkUnderEqf) {
-  trace::SlackProfiler profiler;
-  system::Config cfg = tiny_config();
-  cfg.horizon = 20000;
-  cfg.ssp = core::make_eqf();
-  system::SimulationRun run(cfg, 0);
-  run.set_observer(&profiler);
-  run.run();
-  // EQF's stage window is ~ pex + share of slack, far below the full
-  // end-to-end window UD would hand out (mean total window ~ ex+slack ~ 9.5).
-  EXPECT_LT(profiler.stages()[0].allotted_window.mean(), 5.0);
+  ASSERT_EQ(terminals.size(), metrics.global.generated);
+  std::uint64_t live = 0;
+  for (const auto& [task, count] : terminals) {
+    EXPECT_LE(count, 1) << "task " << task;
+    if (count == 0) ++live;
+  }
+  // Tasks without one are exactly those still in flight at the horizon.
+  EXPECT_EQ(live, metrics.global.generated - metrics.global.missed.trials());
 }
 
 TEST(Observer, DetachWorks) {

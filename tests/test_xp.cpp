@@ -14,6 +14,7 @@
 #include <fstream>
 #include <limits>
 #include <random>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -171,17 +172,20 @@ TEST(Registry, RejectsViewsNamingUnknownAxesOrMetrics) {
   };
   xp::Registry registry;
   for (const xp::TableView& bad : std::vector<xp::TableView>{
-           {"unknown row axis", {"nope"}, "ssp", "md_global"},
-           {"unknown column axis", {"load"}, "nope", "md_global"},
-           {"unknown metric", {"load"}, "ssp", "md_nope"},
-           {"axis left out", {}, "ssp", "md_global"},
-           {"axis placed twice", {"ssp"}, "ssp", "md_global"},
-           {"banded metric", {"load"}, "ssp", "events_per_sec"}}) {
+           {"unknown row axis", {"nope"}, "ssp", {"md_global"}},
+           {"unknown column axis", {"load"}, "nope", {"md_global"}},
+           {"unknown metric", {"load"}, "ssp", {"md_nope"}},
+           {"axis left out", {}, "ssp", {"md_global"}},
+           {"axis placed twice", {"ssp"}, "ssp", {"md_global"}},
+           {"banded metric", {"load"}, "ssp", {"events_per_sec"}},
+           {"one of several metrics banded", {"load"}, "ssp",
+            {"md_global", "events_per_sec"}},
+           {"no metric", {"load"}, "ssp", {}}}) {
     EXPECT_THROW(registry.add(with_view(bad)), std::invalid_argument)
         << bad.title;
   }
   EXPECT_TRUE(registry.all().empty());
-  registry.add(with_view({"ok", {"load"}, "ssp", "md_global"}));
+  registry.add(with_view({"ok", {"load"}, "ssp", {"md_global"}}));
   EXPECT_EQ(registry.all().size(), 1u);
 }
 
@@ -616,8 +620,8 @@ TEST(Table, PooledGridMatchesRunPointAndRendersEveryView) {
   // engine::run; its records and cells must be exactly what run_point
   // records and check verifies.
   xp::Manifest manifest = tiny_manifest();
-  manifest.views = {{"MD_global (%)", {"load"}, "ssp", "md_global"},
-                    {"events", {"ssp"}, "load", "events", false}};
+  manifest.views = {{"MD_global (%)", {"load"}, "ssp", {"md_global"}},
+                    {"events", {"ssp"}, "load", {"events"}, false}};
   const std::vector<engine::PointResult> results =
       engine::run(manifest.expand(), manifest.replications, /*jobs=*/2);
   const std::vector<xp::PointRecord> records =
@@ -641,6 +645,17 @@ TEST(Table, PooledGridMatchesRunPointAndRendersEveryView) {
             std::string::npos);
   EXPECT_NE(text.find(stats::Table::cell(*records[1].metric("events"), 1)),
             std::string::npos);
+
+  // A view of several metrics adds one labelled row per metric and load.
+  manifest.views = {{"MD (%)", {"load"}, "ssp", {"md_local", "md_global"}}};
+  const std::string stacked = xp::render_views(manifest, results);
+  std::istringstream lines(stacked);
+  std::vector<std::string> rows;
+  for (std::string line; std::getline(lines, line);) rows.push_back(line);
+  ASSERT_EQ(rows.size(), 1u + 2u + 2u * 3u + 1u) << stacked;  // + blank
+  EXPECT_EQ(rows[1].rfind("metric", 0), 0u) << stacked;
+  EXPECT_EQ(rows[3].rfind("md_local ", 0), 0u) << stacked;
+  EXPECT_EQ(rows[8].rfind("md_global ", 0), 0u) << stacked;
 }
 
 TEST(Table, GridRecordsHoldEveryReplicationAndNotTheJobCount) {
